@@ -14,20 +14,25 @@ use dbtoaster_net::{AuditReport, FeedWriter, NetClient};
 use dbtoaster_server::ViewSnapshot;
 
 use crate::check::{interpreter_check, reference_server, snapshot_diff};
-use crate::procfs::{read_cpu_ticks, read_status_kib, TICKS_PER_SECOND};
+use crate::hostprobe::HostProbe;
+use crate::procfs::{read_cpu_ns, read_cpu_ticks, read_status_kib, TICKS_PER_SECOND};
 use crate::workload::{Workload, FEED_BATCH};
 
-/// Server starts per run; `setup_s` is their median. The first also
-/// serves the interpreter check, the last serves phases 2 to 4.
-const SETUP_ROUNDS: usize = 7;
-/// Events of the first pass sent one `apply_batch` each in phase 2,
-/// over `RTT_CONNECTIONS` connections one after another.
-const RTT_EVENTS: usize = 10_000;
+/// Set-up-only server starts per run, half before the measured rounds
+/// and half after the reference replay, so they sample the host over
+/// the whole run; each measured round starts one more. `setup_s` is the
+/// median of them all. The first also serves the interpreter check.
+const SETUP_ROUNDS: usize = 10;
+/// Connections phase 2's single-event round trips are spread over, one
+/// after another.
 const RTT_CONNECTIONS: usize = 10;
 /// Open-loop period of the `snapshot_all` reads beside the feed.
 pub const READ_INTERVAL: Duration = Duration::from_millis(10);
-/// Acknowledged feeds phase 3 is split into.
-const PHASE3_SEGMENTS: usize = 7;
+/// Share of `--seconds` phase 3 feeds for (unless the stream ends
+/// first); the reference replay afterwards takes most of the rest.
+const PHASE3_SHARE: f64 = 0.5;
+/// Period of the host-speed probe during phase 3.
+const PROBE_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Operations attempted and failed: RPCs, feed batches, snapshots and
 /// correctness checks.
@@ -163,14 +168,24 @@ fn serving_addr(log: &str) -> Option<SocketAddr> {
         })
 }
 
-/// Everything one end-to-end run measured.
+/// Everything one end-to-end run measured, over all its rounds.
 #[derive(Default)]
 pub struct E2e {
     pub setup_s: Vec<f64>,
-    /// Round-trip times (µs) of phase 2, one list per connection.
+    /// Round trips (µs) of phase 2, one list per connection.
     pub rtt_us: Vec<Vec<f64>>,
     pub segments: Vec<Segment>,
+    /// Server CPU seconds over the whole of phase 3, from
+    /// `/proc/<pid>/stat`.
+    pub phase3_cpu_s: f64,
+    /// Measured rounds: servers that ran phases 2 to 4.
+    pub rounds: usize,
+    /// Events the first round sent one by one in phase 2.
+    pub singles: usize,
     pub max_lateness_us: f64,
+    /// The host-speed probe, sampled between the run's stages and about
+    /// once a second between phase-3 segments.
+    pub probe: HostProbe,
     pub rss_peak_kib: u64,
     pub audit: AuditReport,
     pub ops: Ops,
@@ -178,51 +193,156 @@ pub struct E2e {
     pub stages_s: Vec<(&'static str, f64)>,
 }
 
-/// Run the four phases of one end-to-end run.
+/// What one round fed, and the wire snapshots the gate checks.
+struct Fed {
+    singles: usize,
+    batches: usize,
+    cut: Option<Vec<ViewSnapshot>>,
+    last: Option<Vec<ViewSnapshot>>,
+}
+
+/// Spawn a server with the workload's flags and register every view
+/// over the wire; the set-up time runs from spawn to the last reply.
+fn set_up(w: &Workload, bin: &Path, log: &Path) -> Result<(Daemon, NetClient, f64), String> {
+    let started = Instant::now();
+    let daemon = Daemon::spawn(bin, &w.server_args(), log)?;
+    let mut client = NetClient::connect(daemon.addr).map_err(|e| e.to_string())?;
+    for (name, sql) in &w.views {
+        client
+            .register(name, sql)
+            .map_err(|e| format!("register {name}: {e}"))?;
+    }
+    Ok((daemon, client, started.elapsed().as_secs_f64()))
+}
+
+/// Run one end-to-end run: set-ups, measured rounds of phases 2 to 4
+/// until phase 3 has fed for its share of `seconds`, the reference
+/// replay of the correctness gate, and set-ups again.
 pub fn run(w: &Workload, bin: &Path, work: &Path, seconds: u64) -> Result<E2e, String> {
-    let args = w.server_args();
     let log: PathBuf = work.join(format!("dbtoasterd-{}.log", w.name));
     let mut out = E2e::default();
-    let ops = &mut out.ops;
-    let stages_s = &mut out.stages_s;
+    out.probe.sample();
     let mut stage = Instant::now();
-    let mut lap = |name| {
-        stages_s.push((name, stage.elapsed().as_secs_f64()));
+    let mut lap = |out: &mut E2e, name| {
+        out.stages_s.push((name, stage.elapsed().as_secs_f64()));
         stage = Instant::now();
     };
 
-    // Phase 1: set-up, repeated; the last server stays up.
-    let mut serving = None;
-    for round in 0..SETUP_ROUNDS {
-        let started = Instant::now();
-        let daemon = Daemon::spawn(bin, &args, &log)?;
-        let mut client = NetClient::connect(daemon.addr).map_err(|e| e.to_string())?;
-        for (name, sql) in &w.views {
-            client
-                .register(name, sql)
-                .map_err(|e| format!("register {name}: {e}"))?;
+    // Phase 1: set-up only, repeated; the first server also runs the
+    // interpreter check.
+    let set_up_only = |out: &mut E2e, rounds, check| {
+        for round in 0..rounds {
+            let (daemon, mut client, secs) = set_up(w, bin, &log)?;
+            out.setup_s.push(secs);
+            if check && round == 0 {
+                oracle_check(w, &daemon, &mut client, &mut out.ops)?;
+            }
+            daemon.stop(&mut client, &mut out.ops);
         }
-        out.setup_s.push(started.elapsed().as_secs_f64());
-        if round == 0 {
-            oracle_check(w, &daemon, &mut client, ops)?;
+        Ok::<(), String>(())
+    };
+    set_up_only(&mut out, SETUP_ROUNDS / 2, true)?;
+    out.probe.sample();
+    lap(&mut out, "set-up and interpreter check");
+
+    // Phases 2 to 4 on a fresh server per round. A round's phase 3
+    // ends at the end of the stream or of the phase's time; when the
+    // stream ended first, a new round feeds it again from the start.
+    let budget = Duration::from_secs_f64(seconds as f64 * PHASE3_SHARE);
+    let mut fed = Vec::new();
+    let mut fed_for = Duration::ZERO;
+    loop {
+        let (daemon, client, secs) = set_up(w, bin, &log)?;
+        out.setup_s.push(secs);
+        let (round, took, exhausted) = measured_round(
+            w,
+            daemon,
+            client,
+            seconds,
+            budget.saturating_sub(fed_for),
+            &mut out,
+        )?;
+        if fed.is_empty() {
+            out.singles = round.singles;
         }
-        if round + 1 < SETUP_ROUNDS {
-            daemon.stop(&mut client, ops);
-        } else {
-            serving = Some((daemon, client));
+        fed.push(round);
+        out.probe.sample();
+        fed_for += took;
+        out.rounds += 1;
+        if !exhausted || fed_for >= budget {
+            break;
         }
     }
-    let (daemon, mut client) = serving.expect("at least one setup round");
+    lap(&mut out, "phases 2 to 4");
+
+    // The gate: every round's snapshots against the sequential
+    // reference at the same point of the stream, bit for bit.
+    let mut by_singles: Vec<usize> = fed.iter().map(|f| f.singles).collect();
+    by_singles.sort_unstable();
+    by_singles.dedup();
+    for singles in by_singles {
+        let rounds: Vec<&Fed> = fed.iter().filter(|f| f.singles == singles).collect();
+        let reference = reference_server(&w.catalog, &w.views).map_err(|e| e.to_string())?;
+        for event in w.feed.singles(singles) {
+            reference
+                .apply_batch(std::slice::from_ref(event))
+                .map_err(|e| e.to_string())?;
+        }
+        let cut = reference.snapshot_all();
+        for round in &rounds {
+            compare(
+                &mut out.ops,
+                "phase-2 cut vs reference",
+                &cut,
+                round.cut.clone(),
+            );
+        }
+        let mut stops: Vec<usize> = rounds.iter().map(|f| f.batches).collect();
+        stops.sort_unstable();
+        stops.dedup();
+        let mut applied = 0;
+        for stop in stops {
+            for batch in w.feed.batches(singles).skip(applied).take(stop - applied) {
+                reference.apply_batch(batch).map_err(|e| e.to_string())?;
+            }
+            applied = stop;
+            let expected = reference.snapshot_all();
+            for round in rounds.iter().filter(|f| f.batches == stop) {
+                let what = "final snapshot vs reference";
+                compare(&mut out.ops, what, &expected, round.last.clone());
+            }
+        }
+    }
+    out.probe.sample();
+    lap(&mut out, "reference replay");
+    set_up_only(&mut out, SETUP_ROUNDS - SETUP_ROUNDS / 2, false)?;
+    out.probe.sample();
+    lap(&mut out, "set-up");
+    Ok(out)
+}
+
+/// Phases 2 to 4 on one set-up server, feeding phase 3 for at most
+/// `budget`. Returns what was fed, phase 3's duration, and whether the
+/// stream ran out before the budget.
+fn measured_round(
+    w: &Workload,
+    daemon: Daemon,
+    mut client: NetClient,
+    seconds: u64,
+    budget: Duration,
+    out: &mut E2e,
+) -> Result<(Fed, Duration, bool), String> {
+    let ops = &mut out.ops;
+    let probe = &mut out.probe;
     let pid = daemon.pid();
-    lap("set-up and interpreter check");
 
     // Phase 2: one event per apply_batch round trip, one outstanding,
     // over a fresh connection per slice so the server's connection
     // thread lands on a new core placement several times per run.
     let deadline = Instant::now() + Duration::from_secs_f64(seconds as f64 * 0.4);
     let mut singles = 0;
-    let slice = RTT_EVENTS.div_ceil(RTT_CONNECTIONS);
-    'phase2: for events in w.feed.singles(RTT_EVENTS).chunks(slice) {
+    let slice = w.rtt_events.div_ceil(RTT_CONNECTIONS);
+    'phase2: for events in w.feed.singles(w.rtt_events).chunks(slice) {
         let mut rtt_client = NetClient::connect(daemon.addr).map_err(|e| e.to_string())?;
         out.rtt_us.push(Vec::with_capacity(events.len()));
         // Untimed: the first request also waits for the accept loop.
@@ -243,24 +363,29 @@ pub fn run(w: &Workload, bin: &Path, work: &Path, seconds: u64) -> Result<E2e, S
         }
     }
     let cut = ops.record("snapshot_all", client.snapshot_all());
-    lap("phase 2");
 
     // Phase 3: feed the rest in batches as fast as back-pressure allows,
-    // as back-to-back segments each timed to its own acknowledgement,
-    // with open-loop reads beside them on a second connection.
+    // as back-to-back short segments each timed to its own
+    // acknowledgement, with open-loop reads beside them on a second
+    // connection.
     let reader = NetClient::connect(daemon.addr).map_err(|e| e.to_string())?;
     let stop = AtomicBool::new(false);
-    let cap = Duration::from_secs(seconds * 3);
     let batches: Vec<&[Event]> = w.feed.batches(singles).collect();
-    let mut batches_fed = 0;
+    let (mut batches_fed, first_segment) = (0, out.segments.len());
+    let ticks_before = read_cpu_ticks(pid);
+    let started = Instant::now();
+    let mut probed = started;
     let (reads, lateness_us, read_ops) = std::thread::scope(|s| {
         let reads = s.spawn(|| read_loop(reader, READ_INTERVAL, &stop));
-        let started = Instant::now();
-        let bounds = |i: usize| i * batches.len() / PHASE3_SEGMENTS;
-        let segments = (0..PHASE3_SEGMENTS).map(|i| &batches[bounds(i)..bounds(i + 1)]);
-        for segment in segments.filter(|segment| !segment.is_empty()) {
-            if started.elapsed() > cap {
+        for segment in batches.chunks(w.segment_batches) {
+            if started.elapsed() > budget {
                 break;
+            }
+            // Between segments the server has acknowledged everything
+            // and idles, so the probe sees the host as phase 3 does.
+            if probed.elapsed() >= PROBE_INTERVAL {
+                probe.sample();
+                probed = Instant::now();
             }
             let Some(fed) = feed_segment(daemon.addr, pid, segment, ops) else {
                 break;
@@ -271,13 +396,19 @@ pub fn run(w: &Workload, bin: &Path, work: &Path, seconds: u64) -> Result<E2e, S
         stop.store(true, Ordering::Relaxed);
         reads.join().expect("reader thread")
     });
-    lap("phase 3");
-    out.max_lateness_us = lateness_us;
+    let took = started.elapsed();
+    let ticks = ticks_before.zip(read_cpu_ticks(pid));
+    let ticks = ops.record("read /proc/<pid>/stat", ticks.ok_or("unreadable"));
+    if let Some((before, after)) = ticks {
+        out.phase3_cpu_s += (after - before) as f64 / TICKS_PER_SECOND;
+    }
+    out.max_lateness_us = out.max_lateness_us.max(lateness_us);
     ops.absorb(read_ops);
+    let segments = &mut out.segments[first_segment..];
     for (due, latency_us) in reads {
         // A read belongs to the segment running when it fell due.
-        let index = out.segments.iter().rposition(|seg| seg.started <= due);
-        if let Some(segment) = out.segments.get_mut(index.unwrap_or(0)) {
+        let index = segments.iter().rposition(|seg| seg.started <= due);
+        if let Some(segment) = segments.get_mut(index.unwrap_or(0)) {
             segment.read_us.push(latency_us);
         }
     }
@@ -285,35 +416,24 @@ pub fn run(w: &Workload, bin: &Path, work: &Path, seconds: u64) -> Result<E2e, S
     // Phase 4: check and collect.
     let last = ops.record("snapshot_all", client.snapshot_all());
     if let Some(audit) = ops.record("debug_audit", client.debug_audit()) {
-        out.audit = audit;
+        let total = &mut out.audit;
+        total.enabled = audit.enabled;
+        total.sample_one_in = audit.sample_one_in;
+        total.checks += audit.checks;
+        total.mismatches += audit.mismatches;
+        total.dropped += audit.dropped;
+        total.entries.extend(audit.entries);
     }
-    out.rss_peak_kib = read_status_kib(pid, "VmHWM").ok_or("cannot read /proc/<pid>/status")?;
+    let rss = read_status_kib(pid, "VmHWM").ok_or("cannot read /proc/<pid>/status")?;
+    out.rss_peak_kib = out.rss_peak_kib.max(rss);
     daemon.stop(&mut client, ops);
-    lap("phase 4");
-
-    let reference = reference_server(&w.catalog, &w.views).map_err(|e| e.to_string())?;
-    for event in w.feed.singles(singles) {
-        reference
-            .apply_batch(std::slice::from_ref(event))
-            .map_err(|e| e.to_string())?;
-    }
-    compare(
-        ops,
-        "phase-2 cut vs reference",
-        &reference.snapshot_all(),
+    let fed = Fed {
+        singles,
+        batches: batches_fed,
         cut,
-    );
-    for batch in w.feed.batches(singles).take(batches_fed) {
-        reference.apply_batch(batch).map_err(|e| e.to_string())?;
-    }
-    compare(
-        ops,
-        "final snapshot vs reference",
-        &reference.snapshot_all(),
         last,
-    );
-    lap("reference replay");
-    Ok(out)
+    };
+    Ok((fed, took, batches_fed == batches.len()))
 }
 
 /// One acknowledged feed of phase 3.
@@ -335,14 +455,14 @@ fn feed_segment(
     batches: &[&[Event]],
     ops: &mut Ops,
 ) -> Option<Segment> {
-    let cpu_ticks = |ops: &mut Ops| {
+    let cpu_ns = |ops: &mut Ops| {
         ops.record(
-            "read /proc/<pid>/stat",
-            read_cpu_ticks(pid).ok_or("unreadable"),
+            "read server CPU clock",
+            read_cpu_ns(pid).ok_or("unreadable"),
         )
     };
     let mut feeder = ops.record("feed connect", FeedWriter::connect(addr))?;
-    let cpu_before = cpu_ticks(ops)?;
+    let cpu_before = cpu_ns(ops)?;
     let started = Instant::now();
     let mut events = 0;
     for batch in batches {
@@ -351,7 +471,7 @@ fn feed_segment(
     }
     let report = ops.record("finish_and_ack", feeder.finish_and_ack())?;
     let secs = started.elapsed().as_secs_f64();
-    let cpu_after = cpu_ticks(ops)?;
+    let cpu_after = cpu_ns(ops)?;
     let failures = if report.events == events {
         vec![]
     } else {
@@ -362,7 +482,7 @@ fn feed_segment(
         started,
         events,
         secs,
-        cpu_s: (cpu_after - cpu_before) as f64 / TICKS_PER_SECOND,
+        cpu_s: (cpu_after - cpu_before) as f64 / 1e9,
         read_us: Vec::new(),
     })
 }

@@ -18,6 +18,7 @@
 
 mod check;
 mod e2e;
+mod hostprobe;
 mod json;
 mod procfs;
 mod stats;
@@ -35,16 +36,21 @@ use stats::{median, percentile};
 /// change.
 const END_TO_END: [(&str, &str); 3] = [
     ("setup_s", "s"),
-    ("ingest_eps", "events/s"),
-    ("server_cpu_us_per_event", "us"),
+    ("ingest_eps_norm", "events/s"),
+    ("server_cpu_us_per_event_norm", "us"),
 ];
 
-/// End-to-end metrics printed in the report only. Latencies and peak
+/// End-to-end metrics printed in the report only. The raw throughput
+/// and CPU per event carry the host's speed of the moment (the gated
+/// `_norm` metrics divide it out, see [`hostprobe`]). Latencies and peak
 /// RSS spread too widely from run to run to gate a change (wake-up,
 /// lock hand-off and allocator noise dominate them on small hosts), and
 /// the error rate and audit mismatches are zero on a healthy run (the
 /// result line carries the error rate as `attempted`/`failed`).
-const REPORT_ONLY: [(&str, &str); 7] = [
+const REPORT_ONLY: [(&str, &str); 10] = [
+    ("ingest_eps", "events/s"),
+    ("server_cpu_us_per_event", "us"),
+    ("host_probe_ms", "ms"),
     ("apply_rtt_p50_us", "us"),
     ("apply_rtt_p99_us", "us"),
     ("read_p50_us", "us"),
@@ -143,9 +149,23 @@ fn result_line(
     ]))
 }
 
-/// The end-to-end metrics of a run. Each timing is the median over the
-/// run's parts (phase-2 connections, phase-3 segments), so a burst of
-/// host noise in one part does not move it.
+/// Quantiles over the phase-3 segments (about 0.1 s of feed each) that
+/// `ingest_eps` and `server_cpu_us_per_event` report: the fast end. A
+/// shared host's other tenants slow every thread of a run by up to 1.7×
+/// for stretches of a second or more; the fast end is what the server
+/// does whenever they leave it alone, where a median follows the share
+/// of slow stretches in the run.
+const FAST_EPS_QUANTILE: f64 = 0.95;
+const FAST_CPU_QUANTILE: f64 = 0.05;
+/// The fast end of the host-speed probe (its 5th percentile over the
+/// run) on the 2-vCPU reference VM in a quiet spell. The `_norm`
+/// metrics scale the raw ones by the run's fast end over this: what the
+/// run would have measured on that host.
+const PROBE_REFERENCE_MS: f64 = 1.3;
+
+/// The end-to-end metrics of a run. Each timing is an order statistic
+/// over the run's parts (phase-2 connections, phase-3 segments), so a
+/// burst of host noise in one part does not move it.
 fn end_to_end_metrics(e: &e2e::E2e) -> Vec<(&'static str, f64)> {
     let over_connections = |q| {
         median(
@@ -155,8 +175,15 @@ fn end_to_end_metrics(e: &e2e::E2e) -> Vec<(&'static str, f64)> {
                 .collect::<Vec<_>>(),
         )
     };
-    let over_segments =
-        |f: &dyn Fn(&e2e::Segment) -> f64| median(&e.segments.iter().map(f).collect::<Vec<_>>());
+    let over_segments = |q, f: &dyn Fn(&e2e::Segment) -> f64| {
+        percentile(&e.segments.iter().map(f).collect::<Vec<_>>(), q)
+    };
+    let ingest_eps = over_segments(FAST_EPS_QUANTILE, &|s| s.events as f64 / s.secs);
+    let cpu_us = over_segments(FAST_CPU_QUANTILE, &|s| {
+        s.cpu_s * 1e6 / s.events.max(1) as f64
+    });
+    let probe_ms = percentile(&e.probe.samples_ns, FAST_CPU_QUANTILE) / 1e6;
+    let host_slowdown = probe_ms / PROBE_REFERENCE_MS;
     let all_reads: Vec<f64> = e
         .segments
         .iter()
@@ -164,16 +191,16 @@ fn end_to_end_metrics(e: &e2e::E2e) -> Vec<(&'static str, f64)> {
         .collect();
     vec![
         ("setup_s", median(&e.setup_s)),
-        ("ingest_eps", over_segments(&|s| s.events as f64 / s.secs)),
-        (
-            "server_cpu_us_per_event",
-            over_segments(&|s| s.cpu_s * 1e6 / s.events.max(1) as f64),
-        ),
+        ("ingest_eps_norm", ingest_eps * host_slowdown),
+        ("server_cpu_us_per_event_norm", cpu_us / host_slowdown),
+        ("ingest_eps", ingest_eps),
+        ("server_cpu_us_per_event", cpu_us),
+        ("host_probe_ms", probe_ms),
         ("apply_rtt_p50_us", over_connections(0.5)),
         ("apply_rtt_p99_us", over_connections(0.99)),
         (
             "read_p50_us",
-            over_segments(&|s| percentile(&s.read_us, 0.5)),
+            over_segments(0.5, &|s| percentile(&s.read_us, 0.5)),
         ),
         ("read_p99_us", percentile(&all_reads, 0.99)),
         ("rss_peak_mb", e.rss_peak_kib as f64 / 1024.0),
@@ -319,7 +346,7 @@ fn run() -> Result<bool, String> {
             .iter()
             .fold((0.0, 0), |(c, n), s| (c + s.cpu_s, n + s.events));
         let from_e2e = traced::FromE2e {
-            singles: e.rtt_us.iter().map(Vec::len).sum(),
+            singles: e.singles,
             apply_rtt_p50_us: rtt_p50.expect("measured above").1,
             server_cpu_ns_per_event: cpu_s * 1e9 / events.max(1) as f64,
         };
@@ -341,19 +368,24 @@ fn run() -> Result<bool, String> {
     println!("# dbtoasterd {flags}");
     println!("# traffic: {}", w.traffic);
     let reads: usize = e.segments.iter().map(|s| s.read_us.len()).sum();
-    let fed: Vec<String> = e
+    let (fed_events, fed_secs) = e
         .segments
         .iter()
-        .map(|s| format!("{} in {:.3} s", s.events, s.secs))
-        .collect();
+        .fold((0, 0.0), |(n, t), s| (n + s.events, t + s.secs));
     println!(
-        "# samples: {} apply round trips over {} connections, {} reads (generator max \
-         lateness {:.0} us), events fed per segment: {}",
+        "# samples: {} set-ups; {} apply round trips over {} connections; {} reads \
+         (generator max lateness {:.0} us); {} events fed in {} segments over {} \
+         round(s), {:.2} s, server CPU {:.2} s by /proc/<pid>/stat",
+        e.setup_s.len(),
         e.rtt_us.iter().map(Vec::len).sum::<usize>(),
         e.rtt_us.len(),
         reads,
         e.max_lateness_us,
-        fed.join(", ")
+        fed_events,
+        e.segments.len(),
+        e.rounds,
+        fed_secs,
+        e.phase3_cpu_s
     );
     let stages: Vec<String> = e
         .stages_s
@@ -426,6 +458,16 @@ fn run() -> Result<bool, String> {
             e.segments
                 .iter()
                 .map(|s| s.events as f64 / s.secs)
+                .collect(),
+        ),
+    ));
+    report.push(("host_probe_ns", nums(e.probe.samples_ns.clone())));
+    report.push((
+        "per_segment_cpu_us_per_event",
+        nums(
+            e.segments
+                .iter()
+                .map(|s| s.cpu_s * 1e6 / s.events.max(1) as f64)
                 .collect(),
         ),
     ));

@@ -1,5 +1,5 @@
-//! Readers for the server process's `/proc/<pid>/stat` and
-//! `/proc/<pid>/status`.
+//! Readers for the server process's CPU time (`/proc/<pid>/stat` and
+//! its POSIX CPU-time clock) and `/proc/<pid>/status`.
 
 /// Clock ticks per second of the `/proc/<pid>/stat` time fields
 /// (`USER_HZ`, fixed at 100 by the Linux ABI).
@@ -29,6 +29,33 @@ pub fn status_kib(status: &str, key: &str) -> Option<u64> {
 
 pub fn read_cpu_ticks(pid: u32) -> Option<u64> {
     cpu_ticks(&std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?)
+}
+
+/// CPU time in nanoseconds of every thread of process `pid`, live or
+/// exited, from the process's POSIX CPU-time clock. Unlike the tick
+/// counts of `/proc/<pid>/stat` it resolves the sub-second segments of
+/// a run.
+pub fn read_cpu_ns(pid: u32) -> Option<u64> {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_getcpuclockid(pid: i32, clock: *mut i32) -> i32;
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    let mut clock = 0i32;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: both calls only write through the valid pointers given.
+    let ok = unsafe {
+        clock_getcpuclockid(i32::try_from(pid).ok()?, &mut clock) == 0
+            && clock_gettime(clock, &mut ts) == 0
+    };
+    ok.then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
 }
 
 pub fn read_status_kib(pid: u32, key: &str) -> Option<u64> {
@@ -75,5 +102,30 @@ mod tests {
         let pid = std::process::id();
         assert!(read_cpu_ticks(pid).is_some());
         assert!(read_status_kib(pid, "VmHWM").unwrap() > 0);
+    }
+
+    #[test]
+    fn cpu_clock_of_a_child_counts_its_work() {
+        let mut child = std::process::Command::new("sh")
+            .args([
+                "-c",
+                "i=0; while [ $i -lt 20000 ]; do i=$((i+1)); done; sleep 5",
+            ])
+            .spawn()
+            .unwrap();
+        let pid = child.id();
+        let first = read_cpu_ns(pid).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let second = read_cpu_ns(pid).unwrap();
+        let ticks = read_cpu_ticks(pid).unwrap();
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert!(second >= first && second > 0);
+        // The clock and the tick counts agree to within a few ticks.
+        let from_ticks = ticks as f64 / TICKS_PER_SECOND * 1e9;
+        assert!(
+            (second as f64 - from_ticks).abs() < 5e7,
+            "{second} vs {from_ticks}"
+        );
     }
 }

@@ -39,6 +39,10 @@ pub struct Workload {
     pub observed: bool,
     /// What the stream feeds, pass by pass.
     pub feed: Feed,
+    /// Events of the first pass sent one `apply_batch` each in phase 2.
+    pub rtt_events: usize,
+    /// Feed batches per timed phase-3 segment: about 0.1 s of feed.
+    pub segment_batches: usize,
     /// A small stream of the same generator and seed, checked against
     /// the `exec` interpreter (which re-evaluates views by nested loops
     /// and cannot re-evaluate the full-size state within a run).
@@ -118,10 +122,11 @@ impl Feed {
     }
 }
 
-/// Phase-3 feed volume per second of `--seconds`, sized so phase 3
-/// takes about 60% of a run on a 2-core host.
-const ORDERBOOK_EVENTS_PER_SECOND: usize = 180_000;
-const NESTED_EVENTS_PER_SECOND: usize = 80_000;
+/// Feed volume per second of `--seconds`: more than phase 3 can feed in
+/// its share of the run on a 2-core host, so the phase is time-boxed.
+/// Passes are slices of one generated pass, so volume costs no memory.
+const ORDERBOOK_EVENTS_PER_SECOND: usize = 400_000;
+const NESTED_EVENTS_PER_SECOND: usize = 200_000;
 
 fn orderbook_stream(messages: usize, book_depth: usize, seed: u64) -> UpdateStream {
     OrderBookGenerator::new(OrderBookConfig {
@@ -175,6 +180,8 @@ pub fn build(name: &str, seed: u64, seconds: u64) -> Option<Workload> {
                 observed: false,
                 traffic: book_traffic(depth, &forward, passes),
                 feed: Feed::new(forward.events, passes),
+                rtt_events: 10_000,
+                segment_batches: 48,
                 oracle: orderbook_stream(3_000, depth, seed),
             }
         }
@@ -192,6 +199,8 @@ pub fn build(name: &str, seed: u64, seconds: u64) -> Option<Workload> {
                 observed: true,
                 traffic: book_traffic(depth, &forward, passes),
                 feed: Feed::new(forward.events, passes),
+                rtt_events: 10_000,
+                segment_batches: 24,
                 oracle: orderbook_stream(2_000, depth, seed ^ 0x6e65_7374),
             }
         }
@@ -219,6 +228,11 @@ pub fn build(name: &str, seed: u64, seconds: u64) -> Option<Workload> {
                     forward.len() - dims
                 ),
                 feed: Feed::new(forward.events, 1),
+                // Each fact costs ~150 µs of server CPU: a batch is a
+                // segment, and phase 2 takes only the dimension rows
+                // and the first facts, leaving the load to phase 3.
+                rtt_events: 2_000,
+                segment_batches: 1,
                 // Q4.1's interpreter plan is the cross product of the four
                 // dimension tables, so the checked instance stays tiny.
                 oracle: transform_to_ssb(&TpchData::generate(&TpchConfig {
