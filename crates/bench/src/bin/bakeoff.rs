@@ -8,6 +8,7 @@
 
 use dbtoaster_bench::json::{write_bench_json, Json};
 use dbtoaster_bench::{measure, render_table, speedups, BakeoffRow, EngineKind};
+use dbtoaster_compiler::{compile_sql, CompileOptions};
 use dbtoaster_workloads::orderbook::{
     finance_queries, orderbook_catalog, OrderBookConfig, OrderBookGenerator,
 };
@@ -85,10 +86,30 @@ fn main() {
             ("memory_bytes", Json::from(r.memory_bytes)),
         ])
     };
+    // The compiled shape behind each dbtoaster row.
+    let mut shapes = Vec::new();
+    println!("\n== compiled shape (maps / statements) ==");
+    let queries = finance_queries()
+        .into_iter()
+        .map(|(name, sql)| (name, sql, &finance_catalog));
+    for (name, sql, catalog) in queries.chain([("ssb_q41", SSB_Q41, &warehouse_catalog)]) {
+        match compile_sql(sql, catalog, &CompileOptions::full()) {
+            Ok(p) => {
+                println!("{name:<18} {:>4} / {}", p.maps.len(), p.statement_count());
+                shapes.push(Json::obj([
+                    ("query", Json::str(name)),
+                    ("maps", Json::from(p.maps.len())),
+                    ("statements", Json::from(p.statement_count())),
+                ]));
+            }
+            Err(e) => eprintln!("{name}: {e}"),
+        }
+    }
     let report = Json::obj([
         ("bench", Json::str("bakeoff")),
         ("messages", Json::from(messages)),
         ("rows", Json::Arr(rows.iter().map(row_json).collect())),
+        ("shapes", Json::Arr(shapes)),
         (
             "speedups",
             Json::Arr(

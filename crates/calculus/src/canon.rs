@@ -7,13 +7,20 @@
 //! identical up to renaming of variables, so the compiler keys its map
 //! registry by the canonical string produced here.
 //!
-//! The canonicalization renames the map's key variables positionally
-//! (`__K0`, `__K1`, ...), sorts product factors by a name-insensitive
-//! structural key, and then renames every remaining variable in traversal
-//! order (`__V0`, `__V1`, ...). A failure to identify two structurally
-//! equal definitions merely creates a duplicate map (a missed
-//! optimization, never an error), so ties in the factor ordering are
-//! acceptable.
+//! The canonicalization sorts product factors and sum terms by a
+//! name-insensitive structural key, renames the map's key variables
+//! positionally (`__K0`, `__K1`, ...), and then renames every remaining
+//! variable in order of first occurrence in the sorted definition
+//! (`__V0`, `__V1`, ...).
+//!
+//! Key *order* is part of the form, so the compiler does not choose it:
+//! [`canonical_key_order`] orders a new map's keys by first occurrence in
+//! the same sorted definition. One sub-aggregate reached from different
+//! handlers, with its factors (and so its keys) in different orders,
+//! therefore registers one map instead of one per key permutation. A
+//! failure to identify two structurally equal definitions merely creates
+//! a duplicate map (a missed optimization, never an error), so ties in
+//! the factor ordering are acceptable.
 
 use std::collections::BTreeMap;
 
@@ -27,10 +34,27 @@ pub fn canonical_form(keys: &[Var], definition: &CalcExpr) -> String {
     for (i, k) in keys.iter().enumerate() {
         renaming.insert(k.clone(), format!("__K{i}"));
     }
-    let mut counter = 0usize;
-    assign_names(&sorted, &mut renaming, &mut counter);
+    let mut next = 0usize;
+    for v in occurrence_order(&sorted) {
+        renaming.entry(v).or_insert_with(|| {
+            let name = format!("__V{next}");
+            next += 1;
+            name
+        });
+    }
     let renamed = sorted.rename(&|v| renaming.get(v).cloned());
     format!("[{}] {renamed}", keys.len())
+}
+
+/// Order `keys` by first occurrence in the structurally sorted
+/// `definition`, so that alpha-equivalent definitions reached with their
+/// keys in different orders produce one canonical form. Keys the
+/// definition does not mention keep their relative order at the end.
+pub fn canonical_key_order(keys: &[Var], definition: &CalcExpr) -> Vec<Var> {
+    let order = occurrence_order(&sort_structurally(definition));
+    let mut ordered = keys.to_vec();
+    ordered.sort_by_key(|k| order.iter().position(|v| v == k).unwrap_or(usize::MAX));
+    ordered
 }
 
 /// Recursively sort the factors of products and the terms of sums by a
@@ -91,51 +115,47 @@ fn structural_key(expr: &CalcExpr) -> String {
     }
 }
 
-/// Assign canonical names to variables in traversal order.
-fn assign_names(expr: &CalcExpr, renaming: &mut BTreeMap<Var, Var>, counter: &mut usize) {
-    let visit = |v: &Var, renaming: &mut BTreeMap<Var, Var>, counter: &mut usize| {
-        if !renaming.contains_key(v) {
-            renaming.insert(v.clone(), format!("__V{counter}"));
-            *counter += 1;
-        }
-    };
-    match expr {
-        CalcExpr::Val(v) => {
-            for var in ordered_vars(v) {
-                visit(&var, renaming, counter);
+/// Variables of an expression in order of first occurrence (pre-order
+/// traversal), deduplicated.
+fn occurrence_order(expr: &CalcExpr) -> Vec<Var> {
+    fn visit<'a>(vars: impl IntoIterator<Item = &'a Var>, out: &mut Vec<Var>) {
+        for v in vars {
+            if !out.contains(v) {
+                out.push(v.clone());
             }
-        }
-        CalcExpr::Cmp { left, right, .. } => {
-            for var in ordered_vars(left).into_iter().chain(ordered_vars(right)) {
-                visit(&var, renaming, counter);
-            }
-        }
-        CalcExpr::Rel { vars, .. }
-        | CalcExpr::MapRef {
-            name: _,
-            keys: vars,
-        } => {
-            for v in vars {
-                visit(v, renaming, counter);
-            }
-        }
-        CalcExpr::Prod(fs) | CalcExpr::Sum(fs) => {
-            for f in fs {
-                assign_names(f, renaming, counter);
-            }
-        }
-        CalcExpr::Neg(e) | CalcExpr::Exists(e) => assign_names(e, renaming, counter),
-        CalcExpr::AggSum { group, body } => {
-            for g in group {
-                visit(g, renaming, counter);
-            }
-            assign_names(body, renaming, counter);
-        }
-        CalcExpr::Lift { var, body } => {
-            visit(var, renaming, counter);
-            assign_names(body, renaming, counter);
         }
     }
+    fn walk(expr: &CalcExpr, out: &mut Vec<Var>) {
+        match expr {
+            CalcExpr::Val(v) => visit(&ordered_vars(v), out),
+            CalcExpr::Cmp { left, right, .. } => {
+                visit(&ordered_vars(left), out);
+                visit(&ordered_vars(right), out);
+            }
+            CalcExpr::Rel { vars, .. }
+            | CalcExpr::MapRef {
+                name: _,
+                keys: vars,
+            } => visit(vars, out),
+            CalcExpr::Prod(fs) | CalcExpr::Sum(fs) => {
+                for f in fs {
+                    walk(f, out);
+                }
+            }
+            CalcExpr::Neg(e) | CalcExpr::Exists(e) => walk(e, out),
+            CalcExpr::AggSum { group, body } => {
+                visit(group, out);
+                walk(body, out);
+            }
+            CalcExpr::Lift { var, body } => {
+                visit([var], out);
+                walk(body, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(expr, &mut out);
+    out
 }
 
 fn ordered_vars(v: &crate::expr::ValExpr) -> Vec<Var> {
@@ -190,6 +210,30 @@ mod tests {
         let by_b = canonical_form(&["B".to_string()], &def);
         let by_c = canonical_form(&["C".to_string()], &def);
         assert_ne!(by_b, by_c);
+    }
+
+    #[test]
+    fn canonical_key_order_makes_key_permutations_share() {
+        // sum(S(B, C) ⋈ T(C, D)) keyed by (B, D), reached once with the
+        // keys and factors in one order and once in the other.
+        let def1 = CalcExpr::product(vec![
+            CalcExpr::rel("S", vec!["B", "C"]),
+            CalcExpr::rel("T", vec!["C", "D"]),
+        ]);
+        let def2 = CalcExpr::product(vec![
+            CalcExpr::rel("T", vec!["Y", "Z"]),
+            CalcExpr::rel("S", vec!["X", "Y"]),
+        ]);
+        let keys1 = vec!["D".to_string(), "B".to_string()];
+        let keys2 = vec!["X".to_string(), "Z".to_string()];
+        assert_ne!(canonical_form(&keys1, &def1), canonical_form(&keys2, &def2));
+        let ordered1 = canonical_key_order(&keys1, &def1);
+        let ordered2 = canonical_key_order(&keys2, &def2);
+        assert_eq!(ordered1, vec!["B".to_string(), "D".to_string()]);
+        assert_eq!(
+            canonical_form(&ordered1, &def1),
+            canonical_form(&ordered2, &def2)
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod expr;
 pub mod simplify;
 pub mod translate;
 
-pub use canon::canonical_form;
+pub use canon::{canonical_form, canonical_key_order};
 pub use delta::{delta, trigger_args};
 pub use expr::{CalcExpr, CmpOp, ValExpr, Var};
 pub use simplify::{simplify, to_polynomial, Polynomial, Term};

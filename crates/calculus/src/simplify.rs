@@ -7,17 +7,27 @@
 //! 1. **Polynomial normalization** — flatten sums/products, distribute
 //!    products over sums, fold constants, fold signs, drop zero terms and
 //!    unit factors (rules for `0·x`, `1·x`, `x+0`, `−(−x)`, ...).
+//!    Distribution is *lazy* for relation-free sums: a value expression
+//!    with several monomials (`LO_REVENUE - LO_SUPPLYCOST`) and a
+//!    predicate sum whose leaves are comparisons (the `a + b - a·b` of an
+//!    OR, the `1 - a` of a NOT) each stay one factor, so they cost one map
+//!    family rather than one per monomial.
 //! 2. **Equality unification** — inside a product, `[x = y]` with `x` not
 //!    protected (not a group variable, trigger argument or output key) is
 //!    eliminated by renaming `x := y` everywhere in the term; constant
 //!    comparisons are decided; tautologies `[x = x]` vanish; contradictory
-//!    constant comparisons annihilate the term.
+//!    constant comparisons annihilate the term, and so does a term that
+//!    pins one variable to two different constants (`[x = 1]·[x = 2]`).
 //! 3. **`AggSum` factorization** — factors that do not depend on the
 //!    summed-over variables are pulled out of the aggregation (this is the
 //!    rewrite that turns `Δq = sum_{A·D}({⟨a,b⟩} ⋈ S ⋈ T)` into
 //!    `a · sum_D(σ_{B=b}(S) ⋈ T)` in the paper's Section 3), `AggSum`
 //!    distributes over sums, and an `AggSum` that no longer sums over
-//!    anything is eliminated.
+//!    anything is eliminated. A value or predicate sum kept whole by rule
+//!    1 is pulled out whole when all its variables are outer; only when
+//!    it *straddles* the aggregation — mentions both summed-over and
+//!    outer variables — is it distributed into monomials here, so that
+//!    each monomial's outer part can be pulled out on its own.
 //! 4. **Nested-structure simplification** — bodies of `Lift`, `Exists`
 //!    and nested `AggSum` are simplified recursively; lifts of constants
 //!    become value bindings usable by later rules.
@@ -177,24 +187,10 @@ pub fn simplify(expr: &CalcExpr, protected: &BTreeSet<Var>) -> CalcExpr {
 
 fn normalize(expr: &CalcExpr, protected: &BTreeSet<Var>) -> Polynomial {
     match expr {
-        CalcExpr::Val(v) => {
-            // Expand the arithmetic into a sum of monomials so that, e.g.,
-            // sum(b.VOLUME * (b.PRICE - a.PRICE)) splits into two terms
-            // whose trigger-variable parts can be factored out of the
-            // aggregation independently (otherwise the materializer would
-            // have to key a map on a variable with an unbounded domain).
-            let mut terms = Vec::new();
-            for (coeff, factors) in expand_val(v) {
-                if coeff.is_zero() {
-                    continue;
-                }
-                terms.push(Term {
-                    coeff,
-                    factors: factors.into_iter().map(CalcExpr::Val).collect(),
-                });
-            }
-            Polynomial { terms }
-        }
+        // One factor, one map family: `normalize_aggsum` distributes it
+        // only where it straddles an aggregation.
+        _ if kept_whole(expr) => Polynomial::single(Term::from_factor(expr.clone())),
+        CalcExpr::Val(v) => monomials(v),
         CalcExpr::Rel { .. } | CalcExpr::MapRef { .. } => {
             Polynomial::single(Term::from_factor(expr.clone()))
         }
@@ -257,21 +253,21 @@ fn normalize_aggsum(group: &[Var], body: &CalcExpr, protected: &BTreeSet<Var>) -
     let body_poly = to_polynomial(body, &inner_protected);
 
     let mut out = Polynomial::zero();
-    for term in body_poly.terms {
+    for term in body_poly
+        .terms
+        .into_iter()
+        .flat_map(|t| distribute_straddling(t, &inner_protected))
+    {
         // Partition the factors of this term into those that can be pulled
         // out of the aggregation and those that must stay inside.
-        let summed: BTreeSet<Var> = term
-            .factors
-            .iter()
-            .flat_map(|f| f.bound_vars())
-            .filter(|v| !inner_protected.contains(v))
-            .collect();
-
+        let summed = summed_vars(&term, &inner_protected);
         let mut pulled = Vec::new();
         let mut inside = Vec::new();
         for f in term.factors {
-            let pullable = matches!(f, CalcExpr::Val(_) | CalcExpr::Cmp { .. })
-                && f.all_vars().iter().all(|v| !summed.contains(v));
+            let pullable = matches!(
+                f,
+                CalcExpr::Val(_) | CalcExpr::Cmp { .. } | CalcExpr::Sum(_)
+            ) && f.all_vars().iter().all(|v| !summed.contains(v));
             if pullable {
                 pulled.push(f);
             } else {
@@ -316,6 +312,102 @@ fn normalize_aggsum(group: &[Var], body: &CalcExpr, protected: &BTreeSet<Var>) -
         }));
     }
     out
+}
+
+/// The variables a term sums over: those its factors bind that are not
+/// bound outside (`protected`).
+fn summed_vars(term: &Term, protected: &BTreeSet<Var>) -> BTreeSet<Var> {
+    term.factors
+        .iter()
+        .flat_map(|f| f.bound_vars())
+        .filter(|v| !protected.contains(v))
+        .collect()
+}
+
+/// Distribute the kept-whole factors of an aggregated term (value sums,
+/// predicate sums) that *straddle* the aggregation — mention both a
+/// summed-over and an outer variable — into monomials. Each monomial's
+/// outer part can then be pulled out of the aggregation on its own, e.g.
+/// SOBI's `b.PRICE - a.PRICE` on an insert into BIDS becomes
+/// `b.PRICE · sum(..) - sum(.. · a.PRICE)`; kept whole, it would force a
+/// map keyed by the trigger's price. Returns the resulting terms,
+/// re-simplified (a distributed OR can unify or annihilate), in order.
+fn distribute_straddling(term: Term, protected: &BTreeSet<Var>) -> Vec<Term> {
+    let summed = summed_vars(&term, protected);
+    let straddles = |f: &CalcExpr| {
+        let vars = f.all_vars();
+        vars.iter().any(|v| summed.contains(v))
+            && vars.iter().any(|v| !summed.contains(v))
+            && kept_whole(f)
+    };
+    let Some(i) = term.factors.iter().position(straddles) else {
+        return vec![term];
+    };
+    let mut out = Vec::new();
+    for monomial in distribute(&term.factors[i]).terms {
+        let mut factors = term.factors.clone();
+        factors.splice(i..=i, monomial.factors);
+        let expanded = Term {
+            coeff: term.coeff.mul(&monomial.coeff),
+            factors,
+        };
+        if let Some(t) = simplify_term(expanded, protected) {
+            out.extend(distribute_straddling(t, protected));
+        }
+    }
+    out
+}
+
+/// Fully distribute a kept-whole factor (a value sum or a predicate sum)
+/// into monomials.
+fn distribute(factor: &CalcExpr) -> Polynomial {
+    match factor {
+        CalcExpr::Val(v) => monomials(v),
+        CalcExpr::Sum(es) => es
+            .iter()
+            .fold(Polynomial::zero(), |acc, e| acc.add(distribute(e))),
+        CalcExpr::Prod(es) => es.iter().fold(Polynomial::single(Term::unit()), |acc, e| {
+            acc.multiply(&distribute(e))
+        }),
+        CalcExpr::Neg(e) => distribute(e).negate(),
+        other => Polynomial::single(Term::from_factor(other.clone())),
+    }
+}
+
+/// True for the relation-free sums that normalization keeps as one
+/// factor: a value expression of several monomials
+/// (`LO_REVENUE - LO_SUPPLYCOST`), and a predicate sum whose leaves are
+/// comparisons and constants (the translation of an OR or NOT). Either
+/// must mention a variable; constant sums fold.
+fn kept_whole(expr: &CalcExpr) -> bool {
+    fn leaves_are_predicates(e: &CalcExpr) -> bool {
+        match e {
+            CalcExpr::Cmp { .. } => true,
+            CalcExpr::Val(v) => v.fold_const().is_some(),
+            CalcExpr::Sum(es) | CalcExpr::Prod(es) => es.iter().all(leaves_are_predicates),
+            CalcExpr::Neg(e) => leaves_are_predicates(e),
+            _ => false,
+        }
+    }
+    match expr {
+        CalcExpr::Val(v) => !v.vars().is_empty() && expand_val(v).len() > 1,
+        CalcExpr::Sum(_) => !expr.all_vars().is_empty() && leaves_are_predicates(expr),
+        _ => false,
+    }
+}
+
+/// A value expression as a sum of monomial terms (Add-free `Val`
+/// factors, constants folded into the coefficient).
+fn monomials(v: &ValExpr) -> Polynomial {
+    let terms = expand_val(v)
+        .into_iter()
+        .filter(|(coeff, _)| !coeff.is_zero())
+        .map(|(coeff, factors)| Term {
+            coeff,
+            factors: factors.into_iter().map(CalcExpr::Val).collect(),
+        })
+        .collect();
+    Polynomial { terms }
 }
 
 /// Expand a value expression into a sum of monomials: each entry is a
@@ -428,6 +520,9 @@ fn simplify_term(mut term: Term, protected: &BTreeSet<Var>) -> Option<Term> {
             break;
         }
     }
+    if pins_a_variable_twice(&term.factors) {
+        return None;
+    }
 
     // Fold constant-valued Val factors into the coefficient.
     let mut coeff = term.coeff.clone();
@@ -446,6 +541,37 @@ fn simplify_term(mut term: Term, protected: &BTreeSet<Var>) -> Option<Term> {
         return None;
     }
     Some(Term { coeff, factors })
+}
+
+/// True if the factors hold `[x = c1]·[x = c2]` with `c1 ≠ c2`: the term
+/// can never hold (e.g. the `[P = 'a']·[P = 'b']` monomial of a
+/// distributed `P = 'a' OR P = 'b'`).
+fn pins_a_variable_twice(factors: &[CalcExpr]) -> bool {
+    let mut pinned: Vec<(&Var, Value)> = Vec::new();
+    for f in factors {
+        let CalcExpr::Cmp {
+            op: CmpOp::Eq,
+            left,
+            right,
+        } = f
+        else {
+            continue;
+        };
+        let ((ValExpr::Var(x), c) | (c, ValExpr::Var(x))) = (left, right) else {
+            continue;
+        };
+        let Some(c) = c.fold_const() else {
+            continue;
+        };
+        if pinned
+            .iter()
+            .any(|(y, d)| *y == x && !CmpOp::Eq.eval(d, &c))
+        {
+            return true;
+        }
+        pinned.push((x, c));
+    }
+    false
 }
 
 enum EqAction {
@@ -729,6 +855,130 @@ mod tests {
         assert!(p.terms[0].factors.is_empty());
         let z = CalcExpr::Exists(Box::new(CalcExpr::zero()));
         assert!(to_polynomial(&z, &BTreeSet::new()).is_zero());
+    }
+
+    fn or_of(a: CalcExpr, b: CalcExpr) -> CalcExpr {
+        CalcExpr::sum(vec![
+            a.clone(),
+            b.clone(),
+            CalcExpr::Neg(Box::new(CalcExpr::product(vec![a, b]))),
+        ])
+    }
+
+    fn eq_const(x: &str, c: i64) -> CalcExpr {
+        CalcExpr::Cmp {
+            op: CmpOp::Eq,
+            left: ValExpr::var(x),
+            right: ValExpr::Const(Value::Int(c)),
+        }
+    }
+
+    /// `[x = c1]·[x = c2]` with `c1 ≠ c2` annihilates the term even when
+    /// `x` is protected (so neither comparison can be unified away).
+    #[test]
+    fn contradictory_constant_equalities_annihilate() {
+        let e = CalcExpr::product(vec![
+            eq_const("X", 1),
+            eq_const("X", 2),
+            CalcExpr::rel("R", vec!["X"]),
+        ]);
+        assert!(to_polynomial(&e, &protected(&["X"])).is_zero());
+        let same = CalcExpr::product(vec![
+            eq_const("X", 1),
+            eq_const("X", 1),
+            CalcExpr::rel("R", vec!["X"]),
+        ]);
+        assert_eq!(to_polynomial(&same, &protected(&["X"])).terms.len(), 1);
+    }
+
+    /// A difference measure is one factor: one term, one map family.
+    #[test]
+    fn value_sums_stay_whole_inside_an_aggregation() {
+        let e = CalcExpr::agg_sum(
+            vec![],
+            CalcExpr::product(vec![
+                CalcExpr::rel("R", vec!["A", "B"]),
+                CalcExpr::Val(ValExpr::Add(vec![
+                    ValExpr::var("A"),
+                    ValExpr::Neg(Box::new(ValExpr::var("B"))),
+                ])),
+            ]),
+        );
+        let p = to_polynomial(&e, &BTreeSet::new());
+        assert_eq!(p.terms.len(), 1, "{}", p.to_expr());
+        // Once A is bound outside, `A - B` straddles the aggregation and
+        // splits so that `A` can be pulled out: A·sum(R) - sum(R·B).
+        let p = to_polynomial(&e, &protected(&["A"]));
+        assert_eq!(p.terms.len(), 2, "{}", p.to_expr());
+        assert!(
+            p.terms
+                .iter()
+                .any(|t| t.factors.len() == 2
+                    && t.factors.contains(&CalcExpr::Val(ValExpr::var("A"))))
+        );
+
+        // Division is opaque: `A / B` is one monomial and stays inside.
+        let ratio = CalcExpr::agg_sum(
+            vec![],
+            CalcExpr::product(vec![
+                CalcExpr::rel("R", vec!["A", "B"]),
+                CalcExpr::Val(ValExpr::Div(
+                    Box::new(ValExpr::var("A")),
+                    Box::new(ValExpr::var("B")),
+                )),
+            ]),
+        );
+        assert_eq!(to_polynomial(&ratio, &protected(&["A"])).terms.len(), 1);
+    }
+
+    /// An OR over the summed-over relation stays one predicate factor
+    /// inside the aggregation; over outer variables only, it is pulled
+    /// out whole.
+    #[test]
+    fn predicate_sums_stay_whole_and_pull_out_when_outer() {
+        let e = CalcExpr::agg_sum(
+            vec![],
+            CalcExpr::product(vec![
+                CalcExpr::rel("R", vec!["A", "B"]),
+                or_of(eq_const("A", 1), eq_const("A", 2)),
+            ]),
+        );
+        let p = to_polynomial(&e, &BTreeSet::new());
+        assert_eq!(p.terms.len(), 1, "{}", p.to_expr());
+        assert!(matches!(p.terms[0].factors[..], [CalcExpr::AggSum { .. }]));
+
+        let p = to_polynomial(&e, &protected(&["A"]));
+        assert_eq!(p.terms.len(), 1, "{}", p.to_expr());
+        let factors = &p.terms[0].factors;
+        assert!(factors.iter().any(|f| matches!(f, CalcExpr::Sum(_))));
+        assert!(factors
+            .iter()
+            .any(|f| matches!(f, CalcExpr::AggSum { body, .. }
+            if !body.to_string().contains('+'))));
+    }
+
+    /// An OR whose sides fall on both sides of the aggregation is
+    /// distributed, and the distributed monomial that pins `A` to two
+    /// constants is dropped.
+    #[test]
+    fn straddling_predicate_sums_distribute() {
+        // A = 1 OR (B = 2 AND A = 3), A bound outside, B summed over.
+        let e = CalcExpr::agg_sum(
+            vec![],
+            CalcExpr::product(vec![
+                CalcExpr::rel("R", vec!["A", "B"]),
+                or_of(
+                    eq_const("A", 1),
+                    CalcExpr::product(vec![eq_const("B", 2), eq_const("A", 3)]),
+                ),
+            ]),
+        );
+        let p = to_polynomial(&e, &protected(&["A"]));
+        assert_eq!(p.terms.len(), 2, "{}", p.to_expr());
+        assert!(p
+            .terms
+            .iter()
+            .all(|t| !t.factors.iter().any(|f| matches!(f, CalcExpr::Sum(_)))));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! 3. emit an update statement per delta term into the event's trigger,
 //! 4. recursively compile the newly created maps (their definitions have
 //!    strictly fewer base-relation atoms, so the recursion terminates),
-//!    sharing maps across event handlers via canonical forms.
+//!    sharing maps across event handlers via canonical forms. A new map's
+//!    keys are ordered by first occurrence in its structurally sorted
+//!    definition, so a sub-aggregate reached with permuted keys is one
+//!    map, not one per permutation.
 //!
 //! **Nested aggregates** (`Lift` / `Exists` with relation-bearing bodies
 //! — correlated and uncorrelated subqueries) are compiled through the
@@ -48,7 +51,8 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use dbtoaster_calculus::{
-    canonical_form, delta, to_polynomial, translate_query, CalcExpr, QueryCalc, Term, ValExpr, Var,
+    canonical_form, canonical_key_order, delta, to_polynomial, translate_query, CalcExpr,
+    QueryCalc, Term, ValExpr, Var,
 };
 use dbtoaster_common::{Catalog, Error, EventKind, FxHashMap, Result, Value};
 use dbtoaster_sql::{analyze, parse_query, BoundQuery};
@@ -414,11 +418,10 @@ impl Compiler {
         // bound by the enclosing statement context (trigger arguments,
         // target-map keys — including statement-level loop variables such
         // as the `foreach c` of the paper's example); everything else is
-        // aggregated away inside the map. Keys are ordered by first
-        // occurrence so that structurally identical factors arising in
-        // different handlers produce identical canonical forms and share
-        // one map.
-        let keys: Vec<Var> = ordered_occurrences(factor)
+        // aggregated away inside the map. `materialize_named` chooses
+        // their order.
+        let keys: Vec<Var> = factor
+            .all_vars()
             .into_iter()
             .filter(|v| protected.contains(v))
             .collect();
@@ -435,12 +438,19 @@ impl Compiler {
     /// materializer and the hierarchy's child extraction, so a hierarchy
     /// child and a delta-materialized sub-aggregate with the same
     /// structure resolve to one map.
+    ///
+    /// The caller's key order is not kept: keys are ordered by first
+    /// occurrence in the structurally sorted body
+    /// ([`canonical_key_order`]), so one sub-aggregate reached with its
+    /// keys permuted registers one map. The returned `MapRef` lists the
+    /// keys in the map's order.
     fn materialize_named(
         &mut self,
         keys: Vec<Var>,
         inner: CalcExpr,
         depth: usize,
     ) -> Result<CalcExpr> {
+        let keys = canonical_key_order(&keys, &inner);
         let canonical = canonical_form(&keys, &inner);
         if let Some(existing) = self.by_canonical.get(&canonical) {
             return Ok(CalcExpr::MapRef {
@@ -579,7 +589,9 @@ impl ChildMaterializer for HierarchyRegistrar<'_> {
     }
 
     fn request_ordered_index(&mut self, map: &str, key_position: usize) {
-        // Positional, so it survives `materialize_named`'s key renaming;
+        // Positional in the key order of the `MapRef` that
+        // `materialize_child` returned, which is the map's own order (so
+        // it survives `materialize_named`'s key reordering and renaming);
         // on a canonically-shared child the request unions with whatever
         // earlier views asked for.
         if let Some(decl) = self.compiler.maps.iter_mut().find(|m| m.name == map) {
@@ -589,65 +601,6 @@ impl ChildMaterializer for HierarchyRegistrar<'_> {
             }
         }
     }
-}
-
-/// Variables of an expression in order of first occurrence (pre-order
-/// traversal), deduplicated. Used to give generated maps a deterministic,
-/// structure-derived key order.
-pub(crate) fn ordered_occurrences(expr: &CalcExpr) -> Vec<Var> {
-    fn walk(expr: &CalcExpr, out: &mut Vec<Var>) {
-        let push = |v: &Var, out: &mut Vec<Var>| {
-            if !out.contains(v) {
-                out.push(v.clone());
-            }
-        };
-        match expr {
-            CalcExpr::Val(v) => {
-                let mut vs = Vec::new();
-                v.collect_vars(&mut vs);
-                for v in vs {
-                    push(&v, out);
-                }
-            }
-            CalcExpr::Cmp { left, right, .. } => {
-                let mut vs = Vec::new();
-                left.collect_vars(&mut vs);
-                right.collect_vars(&mut vs);
-                for v in vs {
-                    push(&v, out);
-                }
-            }
-            CalcExpr::Rel { vars, .. } => {
-                for v in vars {
-                    push(v, out);
-                }
-            }
-            CalcExpr::MapRef { keys, .. } => {
-                for v in keys {
-                    push(v, out);
-                }
-            }
-            CalcExpr::Prod(es) | CalcExpr::Sum(es) => {
-                for e in es {
-                    walk(e, out);
-                }
-            }
-            CalcExpr::Neg(e) | CalcExpr::Exists(e) => walk(e, out),
-            CalcExpr::AggSum { group, body } => {
-                for g in group {
-                    push(g, out);
-                }
-                walk(body, out);
-            }
-            CalcExpr::Lift { var, body } => {
-                push(var, out);
-                walk(body, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(expr, &mut out);
-    out
 }
 
 #[cfg(test)]

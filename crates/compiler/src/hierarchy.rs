@@ -53,15 +53,18 @@ use dbtoaster_common::Result;
 /// `MapDecl::fingerprint`, across views in the shared store).
 pub trait ChildMaterializer {
     /// Materialize `AggSum(keys, body)` as a (possibly shared) map and
-    /// return the `CalcExpr::MapRef` replacing it.
+    /// return the `CalcExpr::MapRef` replacing it. The materializer may
+    /// reorder the keys; the returned reference lists them in the map's
+    /// order.
     fn materialize_child(&mut self, keys: Vec<Var>, body: CalcExpr) -> Result<CalcExpr>;
 
     /// Request an ordered/cumulative index on key position `key_position`
     /// of child map `map`: a surviving comparison ranges over that key
     /// (the `b2.PRICE > b1.PRICE` shape), so the runtime should answer
     /// inequality-sliced sums over it as O(log P) prefix queries instead
-    /// of full-domain scans. Positional (robust to key renaming) and
-    /// purely an access-path hint. Default: ignore.
+    /// of full-domain scans. Positional in the key order of the reference
+    /// `materialize_child` returned (robust to key renaming and
+    /// reordering) and purely an access-path hint. Default: ignore.
     fn request_ordered_index(&mut self, _map: &str, _key_position: usize) {}
 }
 
@@ -169,9 +172,10 @@ fn rewrite_term(
     // materialized together or the join would be lost).
     let components = connected_atoms(atoms);
 
-    // Pass 3: absorb Val/Cmp factors whose variables are entirely bound
-    // by one component — they contribute inside the child's aggregation
-    // (e.g. the `price * volume` value factors of a sum).
+    // Pass 3: absorb Val/Cmp factors and predicate sums (ORs) whose
+    // variables are entirely bound by one component — they contribute
+    // inside the child's aggregation (e.g. the `price * volume` value
+    // factors of a sum).
     let mut absorbed: Vec<Vec<CalcExpr>> = vec![Vec::new(); components.len()];
     let mut remaining: Vec<CalcExpr> = Vec::new();
     let component_bound: Vec<BTreeSet<Var>> = components
@@ -179,7 +183,10 @@ fn rewrite_term(
         .map(|c| c.iter().flat_map(|a| a.bound_vars()).collect())
         .collect();
     for factor in others {
-        let absorbable = matches!(factor, CalcExpr::Val(_) | CalcExpr::Cmp { .. });
+        let absorbable = matches!(
+            factor,
+            CalcExpr::Val(_) | CalcExpr::Cmp { .. } | CalcExpr::Sum(_)
+        );
         let vars = factor.all_vars();
         match component_bound
             .iter()
@@ -202,10 +209,10 @@ fn rewrite_term(
     let mut children: Vec<(String, Vec<Var>)> = Vec::new();
     for (component, extra) in components.into_iter().zip(absorbed) {
         let body = CalcExpr::product(component.into_iter().chain(extra).collect());
-        let bound_vars: BTreeSet<Var> = body.bound_vars();
-        let keys: Vec<Var> = crate::compile::ordered_occurrences(&body)
+        let keys: Vec<Var> = body
+            .bound_vars()
             .into_iter()
-            .filter(|v| bound_vars.contains(v) && observed.contains(v))
+            .filter(|v| observed.contains(v))
             .collect();
         let child = m.materialize_child(keys, body)?;
         if let CalcExpr::MapRef { name, keys } = &child {

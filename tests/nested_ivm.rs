@@ -70,6 +70,15 @@ const Q_DEEP: &str = "select sum(b.VOLUME) from BOOK b \
      where b.PRICE > (select sum(c.VOLUME) from ORD c \
                       where c.PRICE > (select count(*) from BOOK))";
 
+/// ORs on both levels: a single-relation OR on the outer atom and one
+/// inside the correlated subquery are absorbed into the children whole,
+/// and one spanning the correlation is distributed.
+const Q_OR: &str = "select sum(b.VOLUME) from BOOK b \
+     where (b.BROKER = 1 or b.BROKER = 2) \
+       and (select sum(c.VOLUME) from ORD c where c.PRICE = b.PRICE \
+            and (c.BROKER = 0 or c.VOLUME > 10) \
+            and (c.BROKER = b.BROKER or c.VOLUME < 5)) > 5";
+
 /// Flat self-join (the PR 2 pre-event-read regression shape).
 const Q_SELFJOIN: &str = "select sum(b1.VOLUME * b2.VOLUME) from BOOK b1, BOOK b2 \
      where b1.PRICE = b2.PRICE";
@@ -81,6 +90,7 @@ fn nested_queries() -> Vec<(&'static str, &'static str)> {
         ("q_exists", Q_EXISTS),
         ("q_group", Q_GROUP),
         ("q_deep", Q_DEEP),
+        ("q_or", Q_OR),
     ]
 }
 

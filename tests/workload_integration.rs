@@ -141,6 +141,66 @@ fn warehouse_loading_maintains_ssb_q41() {
     assert_eq!(revenue.result().len(), 5 * 4 / 4); // one row per generated year
 }
 
+/// Q4.1 keeps its `LO_REVENUE - LO_SUPPLYCOST` measure and its `P_MFGR`
+/// disjunction whole until a delta makes them straddle an aggregation;
+/// the interpreter re-evaluates the SQL itself, so a wrong rewrite shows
+/// up as a diverging group, after the load and again after deletions.
+#[test]
+fn ssb_q41_matches_the_reference_interpreter() {
+    use dbtoaster::calculus::translate_query;
+    use dbtoaster::exec::{evaluate_query, Database};
+    use dbtoaster::sql::{analyze, parse_query};
+
+    let cat = ssb_catalog();
+    // The interpreter's plan is the cross product of the four dimension
+    // tables, so the warehouse stays tiny.
+    let stream = transform_to_ssb(&TpchData::generate(&TpchConfig {
+        customers: 10,
+        suppliers: 10,
+        parts: 5,
+        orders: 40,
+        lines_per_order: 4,
+        years: 1,
+        seed: 3,
+    }));
+    // Then retract every other fact, newest first.
+    let deletions: Vec<Event> = stream
+        .events
+        .iter()
+        .rev()
+        .filter(|e| e.relation == "LINEORDER")
+        .step_by(2)
+        .map(|e| Event::delete(e.relation.clone(), e.tuple.clone()))
+        .collect();
+    let qc = translate_query(&analyze(&parse_query(SSB_Q41).unwrap(), &cat).unwrap(), "Q").unwrap();
+    let mut q41 = dbtoaster::StandingQuery::compile(SSB_Q41, &cat).unwrap();
+    let mut db = Database::new();
+    for events in [&stream.events, &deletions] {
+        for e in events {
+            q41.on_event(e).unwrap();
+            db.apply(e);
+        }
+        let mut expected = evaluate_query(&qc, &db).unwrap();
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut got: Vec<_> = q41
+            .result()
+            .into_iter()
+            .map(|r| (r.key, r.values))
+            .collect();
+        got.sort_by(|a, b| a.0.cmp(&b.0));
+        assert!(!expected.is_empty(), "the instance must produce groups");
+        assert_eq!(got.len(), expected.len(), "{got:?} vs {expected:?}");
+        for ((gk, gv), (ek, ev)) in got.iter().zip(&expected) {
+            assert_eq!(gk, ek);
+            for (g, e) in gv.iter().zip(ev) {
+                let (g, e) = (g.as_f64(), e.as_f64());
+                let scale = g.abs().max(e.abs()).max(1.0);
+                assert!((g - e).abs() / scale < 1e-9, "group {gk:?}: {g} vs {e}");
+            }
+        }
+    }
+}
+
 #[test]
 fn standalone_server_handles_the_financial_workload() {
     let cat = orderbook_catalog();
