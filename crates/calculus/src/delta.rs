@@ -24,10 +24,10 @@
 //! mentions no base relation. Dynamic nested bodies
 //! ([`crate::CalcExpr::contains_dynamic_nested`]) are not deltified here;
 //! the compiler's materialization hierarchy extracts them into child
-//! maps and maintains the enclosing map by an exact retract/rebuild
-//! bracket around the children's delta updates (the higher-order delta
-//! processing of the VLDB 2012 follow-up paper), with full re-evaluation
-//! (`Replace`) retained only as a debug/oracle mode.
+//! maps and re-establishes the enclosing map from them after the
+//! children's delta updates (the higher-order delta processing of the
+//! VLDB 2012 follow-up paper), with full re-evaluation from base
+//! relations retained only as a debug/oracle mode.
 
 use dbtoaster_common::EventKind;
 

@@ -22,13 +22,12 @@
 //! relation-bearing component of the definition, at every nesting depth,
 //! is extracted into its own child map keyed by the variables the
 //! surrounding expression observes; the children are conjunctive
-//! aggregates maintained by ordinary delta triggers, and the nested map
-//! itself is maintained by an exact retract/rebuild bracket (stage `-1`:
-//! `Q -= F(children)` against pre-event children; stage `0`: the
-//! children's deltas; stage `+1`: `Q += F(children)` against post-event
-//! children). Per-event cost is therefore proportional to the *active
-//! key domain* of the children (e.g. distinct prices in an order book),
-//! independent of database size.
+//! aggregates maintained by ordinary delta triggers (stage `0`), and the
+//! nested map itself is re-established by one `Q := F(children)`
+//! statement at stage `+1`, against post-event children. Per-event cost
+//! is therefore proportional to the *active key domain* of the children
+//! (e.g. distinct prices in an order book), independent of database
+//! size.
 //!
 //! Two deviations from the fully-incremental path remain available:
 //!
@@ -60,7 +59,6 @@ use dbtoaster_sql::{analyze, parse_query, BoundQuery};
 use crate::hierarchy::{rewrite_nested_definition, ChildMaterializer};
 use crate::program::{
     MapDecl, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA, STAGE_REBUILD,
-    STAGE_RETRACT,
 };
 
 /// How maps whose definitions contain dynamic nested aggregates
@@ -68,9 +66,9 @@ use crate::program::{
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NestedStrategy {
     /// The materialization hierarchy (default): extract inner aggregates
-    /// into delta-maintained child maps and maintain the nested map by a
-    /// staged retract/rebuild bracket — no `Replace` statements, per-event
-    /// cost independent of database size.
+    /// into delta-maintained child maps and re-establish the nested map
+    /// from them by one post-event `:=` — no base-relation maps,
+    /// per-event cost independent of database size.
     #[default]
     Hierarchy,
     /// Legacy full re-evaluation from `BASE_*` maps via `Replace`
@@ -218,13 +216,12 @@ impl Compiler {
             (a.relation.clone(), a.event != EventKind::Insert)
                 .cmp(&(b.relation.clone(), b.event != EventKind::Insert))
         });
-        // Within a trigger, statements run in ascending stage order:
-        // hierarchy retract statements (which must observe every input
-        // pre-event) first, then the delta phase (whose own pre-event
-        // reads are preserved by the stable sort: within stage 0 the
-        // worklist order — parents before the children they read — is
-        // kept), then hierarchy rebuild and legacy `Replace` statements,
-        // both of which must observe fully post-event inputs.
+        // Within a trigger, statements run in ascending stage order: the
+        // delta phase first (whose own pre-event reads are preserved by
+        // the stable sort: within stage 0 the worklist order — parents
+        // before the children they read — is kept), then the `Replace`
+        // statements of hierarchy and legacy re-evaluation, which must
+        // observe fully post-event inputs.
         for t in &mut self.triggers {
             t.statements.sort_by_key(|s| s.stage);
         }
@@ -251,10 +248,10 @@ impl Compiler {
             && self.options.nested == NestedStrategy::Hierarchy
             && self.options.max_depth.is_none();
 
-        // The retract/rebuild bracket is the same for every trigger of
-        // the map; extract the children once.
-        let bracket = if use_hierarchy {
-            Some(self.hierarchy_brackets(&decl, depth)?)
+        // The rebuild is the same for every trigger of the map; extract
+        // the children once.
+        let rebuild = if use_hierarchy {
+            Some(self.hierarchy_rebuild(&decl, depth)?)
         } else {
             None
         };
@@ -265,8 +262,8 @@ impl Compiler {
             let args = dbtoaster_calculus::trigger_args(rel_name, &columns);
 
             for event in [EventKind::Insert, EventKind::Delete] {
-                let statements = match &bracket {
-                    Some(pair) => pair.clone(),
+                let statements = match &rebuild {
+                    Some(statements) => statements.clone(),
                     None if nested => {
                         // Legacy re-evaluation strategy.
                         vec![self.replace_statement(&decl, depth)?]
@@ -282,35 +279,28 @@ impl Compiler {
         Ok(())
     }
 
-    /// The hierarchy maintenance statements for a nested map: extract
-    /// the children and build the retract/rebuild bracket — per addend
-    /// of the rewritten definition, one stage `-1` statement subtracting
-    /// its pre-event value and one stage `+1` statement adding its
-    /// post-event value back.
-    fn hierarchy_brackets(&mut self, decl: &MapDecl, depth: usize) -> Result<Vec<Statement>> {
+    /// The hierarchy maintenance statement for a nested map: extract the
+    /// children and re-establish the map from them by one stage `+1`
+    /// `Replace` whose update is the sum of the rewritten, relation-free
+    /// addends (none when the definition rewrites to nothing). The
+    /// update has the shape of a definition, `AggSum(keys, Σ addends)`,
+    /// which is what the runtime's `Replace` lowering unwraps.
+    fn hierarchy_rebuild(&mut self, decl: &MapDecl, depth: usize) -> Result<Vec<Statement>> {
         let mut registrar = HierarchyRegistrar {
             compiler: self,
             depth,
         };
         let addends = rewrite_nested_definition(&decl.definition, &decl.keys, &mut registrar)?;
-        let mut statements = Vec::with_capacity(addends.len() * 2);
-        for addend in addends {
-            statements.push(Statement {
-                target: decl.name.clone(),
-                target_keys: decl.keys.clone(),
-                update: CalcExpr::Neg(Box::new(addend.clone())),
-                kind: StatementKind::Update,
-                stage: STAGE_RETRACT,
-            });
-            statements.push(Statement {
-                target: decl.name.clone(),
-                target_keys: decl.keys.clone(),
-                update: addend,
-                kind: StatementKind::Update,
-                stage: STAGE_REBUILD,
-            });
+        if addends.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(statements)
+        Ok(vec![Statement {
+            target: decl.name.clone(),
+            target_keys: decl.keys.clone(),
+            update: CalcExpr::agg_sum(decl.keys.clone(), CalcExpr::sum(addends)),
+            kind: StatementKind::Replace,
+            stage: STAGE_REBUILD,
+        }])
     }
 
     fn push_statements(
@@ -736,24 +726,35 @@ mod tests {
                    (select sum(b2.VOLUME) from BIDS b2 where b2.PRICE > b1.PRICE)";
 
     #[test]
-    fn nested_aggregates_compile_to_a_hierarchy_without_replace() {
+    fn nested_aggregates_compile_to_a_hierarchy_over_child_maps() {
         let p = compile_sql(NESTED_VWAP, &bids_catalog(), &CompileOptions::full()).unwrap();
-        // No re-evaluation anywhere: every statement is an incremental
-        // update, and no base-relation multiplicity maps are needed.
+        // No re-evaluation from base relations anywhere: no statement
+        // scans a relation, and no base-relation multiplicity maps are
+        // needed.
         for t in &p.triggers {
             for s in &t.statements {
-                assert_eq!(s.kind, StatementKind::Update, "{s}");
                 assert!(!s.update.has_relations(), "residual scan in {s}");
             }
         }
         assert!(p.maps.iter().all(|m| !m.is_base_relation), "{}", p.pretty());
-        // The nested result map is maintained by a retract/rebuild
-        // bracket around the children's delta phase.
+        // The nested result map is kept by exactly one post-event `:=`
+        // per trigger, after the children's delta phase; every other
+        // statement is a stage-0 delta update.
         let on_ins = p.trigger("BIDS", EventKind::Insert).unwrap();
+        for t in &p.triggers {
+            let on_q: Vec<&Statement> = t.statements.iter().filter(|s| s.target == "Q").collect();
+            assert_eq!(on_q.len(), 1, "{t}");
+            assert_eq!(on_q[0].kind, StatementKind::Replace, "{t}");
+            assert_eq!(on_q[0].stage, STAGE_REBUILD, "{t}");
+            for s in t.statements.iter().filter(|s| s.target != "Q") {
+                assert_eq!(
+                    (s.kind, s.stage),
+                    (StatementKind::Update, STAGE_DELTA),
+                    "{s}"
+                );
+            }
+        }
         let stages: Vec<i32> = on_ins.statements.iter().map(|s| s.stage).collect();
-        assert!(stages.contains(&STAGE_RETRACT), "{stages:?}");
-        assert!(stages.contains(&STAGE_DELTA), "{stages:?}");
-        assert!(stages.contains(&STAGE_REBUILD), "{stages:?}");
         assert!(
             stages.windows(2).all(|w| w[0] <= w[1]),
             "statements must be stage-ordered: {stages:?}"

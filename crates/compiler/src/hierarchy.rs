@@ -23,24 +23,25 @@
 //! of the children) — the distinct correlation values — independent of
 //! the database size.
 //!
-//! The outer map itself is maintained by an exact **retract/rebuild
-//! bracket** around the children's delta phase:
+//! The outer map itself is re-established after the children's delta
+//! phase by one **re-evaluation over the children**, as in the
+//! follow-up paper:
 //!
 //! ```text
-//! stage -1 (retract):  Q[keys] -= F(children)     -- children pre-event
 //! stage  0 (delta):    children absorb the event  -- ordinary deltas
-//! stage +1 (rebuild):  Q[keys] += F(children)     -- children post-event
+//! stage +1 (rebuild):  Q[keys] := F(children)     -- children post-event
 //! ```
 //!
-//! where `F` is the rewritten (relation-free) definition. The bracket is
-//! an identity on the maintained invariant `Q = F(children)`: whatever
-//! the event does to the children, subtracting the old value and adding
-//! the new one leaves the target exact — including deletions, group
-//! vanishing, and sign flips of `Exists`. Statement stages are honored
-//! by the single-view engine (statements sorted by stage within each
-//! trigger) and by the multi-view server (each stage runs across *all*
-//! views before the next, so shared child maps are read pre-event by
-//! every retract and post-event by every rebuild).
+//! where `F` is the rewritten (relation-free) definition, the sum of
+//! [`rewrite_nested_definition`]'s addends. The `:=` restores the
+//! invariant `Q = F(children)` whatever the event did to the children —
+//! including deletions, group vanishing, and sign flips of `Exists` —
+//! and, unlike subtracting the pre-event `F` and adding the post-event
+//! one, it leaves no float residue when `F` has several addends.
+//! Statement stages are honored by the single-view engine (statements
+//! sorted by stage within each trigger) and by the multi-view server
+//! (each stage runs across *all* views before the next, so shared child
+//! maps are read post-event by every rebuild).
 
 use std::collections::BTreeSet;
 
@@ -70,8 +71,8 @@ pub trait ChildMaterializer {
 
 /// Rewrite a nested map definition `AggSum(keys, body)` into equivalent
 /// relation-free addends over child maps (one addend per top-level
-/// polynomial term; the caller emits one retract and one rebuild
-/// statement per addend).
+/// polynomial term; the caller sums them into the map's one rebuild
+/// statement).
 pub fn rewrite_nested_definition(
     definition: &CalcExpr,
     keys: &[Var],
@@ -224,7 +225,7 @@ fn rewrite_term(
     // A child key that a *surviving* comparison ranges over (an
     // inequality left outside every child — e.g. the correlated
     // `[P2 > P1]`) will be probed with inequality-sliced reads by the
-    // retract/rebuild bracket; request an ordered index on it so those
+    // rebuild; request an ordered index on it so those
     // reads lower to O(log P) prefix queries. Comparisons nested inside
     // already-rewritten Lift/Exists/AggSum factors count too: their
     // correlation parameter is a key of a child at *this* level.

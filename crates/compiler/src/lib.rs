@@ -14,8 +14,8 @@
 //!   knob used for the classical-IVM ablation,
 //! * [`hierarchy`] — the materialization hierarchy for nested
 //!   aggregates: inner `Lift`/`Exists` aggregates are extracted into
-//!   delta-maintained child maps and the nested map is kept exact by a
-//!   staged retract/rebuild bracket,
+//!   delta-maintained child maps and the nested map is re-established
+//!   from them by one post-event `:=` per event,
 //! * [`codegen`] — emission of the equivalent Rust event-handler source
 //!   text, the analog of the paper's C++ code generation.
 
@@ -28,5 +28,5 @@ pub mod sharding;
 pub use compile::{compile_query, compile_sql, CompileOptions, NestedStrategy};
 pub use program::{
     MapDecl, PartitionKey, Stage, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA,
-    STAGE_REBUILD, STAGE_RETRACT,
+    STAGE_REBUILD,
 };

@@ -96,12 +96,13 @@ pub enum StatementKind {
     /// `target[keys] += rhs` for every binding of the statement's free
     /// variables (the common, fully-incremental case).
     Update,
-    /// Recompute the target map from scratch from its (materialized)
-    /// inputs. Only emitted by the legacy re-evaluation strategy for
-    /// nested aggregates ([`crate::NestedStrategy::Replace`], the
-    /// debug/oracle mode) and by depth-limited compilation of nested
-    /// maps; the default hierarchy strategy maintains nested maps with
-    /// staged `Update` statements instead.
+    /// `target := rhs`: clear the target map and recompute it from its
+    /// inputs, after the event's delta phase. The rhs has the shape of a
+    /// definition, `AggSum(target keys, Σ addends)`. The hierarchy keeps
+    /// a nested map this way from its child maps; the legacy
+    /// re-evaluation strategy ([`crate::NestedStrategy::Replace`], the
+    /// debug/oracle mode) and depth-limited compilation of nested maps
+    /// recompute it from `BASE_*` maps.
     Replace,
 }
 
@@ -111,19 +112,14 @@ pub enum StatementKind {
 /// multi-view server runs each stage across *all* views before the next
 /// (a dependency-ordered phase schedule):
 ///
-/// * stage `-1` — **retract** statements of hierarchy-maintained nested
-///   maps (`Q -= F(children)`), which must observe every input map at
-///   its *pre-event* version;
 /// * stage `0` — ordinary **delta** updates (base maps, hierarchy child
 ///   maps, flat views), which read pre-event state by local statement
 ///   order;
-/// * stage `+1` — **rebuild** statements of hierarchy-maintained maps
-///   (`Q += F(children)`) and legacy `Replace` re-evaluations, both of
-///   which must observe fully *post-event* inputs.
+/// * stage `+1` — **rebuild** statements: the `Q := F(children)` of
+///   hierarchy-maintained maps and legacy `Replace` re-evaluations, both
+///   of which must observe fully *post-event* inputs.
 pub type Stage = i32;
 
-/// Stage of hierarchy retract statements (pre-event reads).
-pub const STAGE_RETRACT: Stage = -1;
 /// Stage of ordinary delta statements.
 pub const STAGE_DELTA: Stage = 0;
 /// Stage of hierarchy rebuild and legacy `Replace` statements
@@ -162,12 +158,7 @@ impl fmt::Display for Statement {
             self.target_keys.join(", "),
             op,
             self.update
-        )?;
-        if self.kind == StatementKind::Update && self.stage != STAGE_DELTA {
-            let label = if self.stage < 0 { "retract" } else { "rebuild" };
-            write!(f, "  <{label}@{}>", self.stage)?;
-        }
-        Ok(())
+        )
     }
 }
 

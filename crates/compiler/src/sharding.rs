@@ -35,8 +35,8 @@
 //! Two program-wide preconditions guard the analysis:
 //!
 //! * **Flat triggers only.** Every statement of `R`'s triggers must be a
-//!   plain `Update` at `STAGE_DELTA`. Hierarchy retract/rebuild brackets
-//!   and `Replace` re-evaluations read whole maps at staged versions and
+//!   plain `Update` at `STAGE_DELTA`. Post-event `Replace` statements
+//!   (hierarchy rebuilds and legacy re-evaluations) read whole maps and
 //!   do not commute across ranges — those relations stay unshardable.
 //! * **Exclusive maps.** No map touched by `R`'s triggers may appear in
 //!   any *other* relation's triggers (this rejects join views, whose

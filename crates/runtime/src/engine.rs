@@ -285,12 +285,7 @@ impl Engine {
     /// interface).
     pub fn map_snapshot(&self, name: &str) -> Option<Vec<(Tuple, Value)>> {
         let id = self.exec.map_id(name)?;
-        let mut entries: Vec<(Tuple, Value)> = self.maps[id]
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(entries)
+        Some(self.maps[id].sorted_entries())
     }
 
     /// Point lookup into an internal map.
@@ -320,23 +315,34 @@ impl Engine {
         Ok(())
     }
 
-    /// Empty every internal map, keeping the registered secondary
-    /// indexes (equality slices, ordered positions). Turns a built
-    /// engine into a reusable oracle: the shadow auditor seeds one
-    /// engine per view once, then per audited event resets it, loads
-    /// the captured pre-event snapshot via [`Engine::load_map`], and
-    /// replays the event — no re-lowering per audit.
-    pub fn reset_maps(&mut self) {
-        for m in &mut self.maps {
-            m.clear();
+    /// Install `storage` as the whole contents of one internal map,
+    /// replacing what it held. The storage is used as given, secondary
+    /// indexes included, so a map cloned from a server's shared store
+    /// answers every probe from the same index shape — down to the
+    /// zero-valued slots of its ordered groups — and an event replayed
+    /// on top computes the same bits the server did. The shadow auditor
+    /// seeds its oracle this way.
+    pub fn install_map(&mut self, name: &str, storage: MapStorage) -> Result<()> {
+        let id = self
+            .exec
+            .map_id(name)
+            .ok_or_else(|| Error::Runtime(format!("unknown map {name}")))?;
+        if storage.arity() != self.exec.map_arities[id] {
+            return Err(Error::Runtime(format!(
+                "map {name} has arity {}, got a storage of arity {}",
+                self.exec.map_arities[id],
+                storage.arity()
+            )));
         }
+        self.maps[id] = storage;
+        Ok(())
     }
 
     /// Re-establish every derived map that is maintained by post-stage
-    /// statements — hierarchy-bracket targets (`Q += F(children)`) and
-    /// legacy `Replace` targets — from the currently loaded inputs. Each
-    /// target's statements are run once, from a single trigger (the
-    /// bracket is identical in every trigger of the map). Completes a
+    /// `Replace` statements — hierarchy rebuilds (`Q := F(children)`)
+    /// and legacy re-evaluations — from the currently loaded inputs.
+    /// Each target's statements are run once, from a single trigger (the
+    /// rebuild is identical in every trigger of the map). Completes a
     /// warm start: load the flat maps with [`Engine::load_map`], then
     /// call this to make the nested results consistent.
     pub fn rebuild_derived(&mut self) -> Result<()> {
@@ -350,7 +356,7 @@ impl Engine {
             if pending.is_empty() {
                 continue;
             }
-            // The bracket statements reference no trigger arguments (a
+            // The rebuild statements reference no trigger arguments (a
             // full recomputation from materialized inputs), so a zeroed
             // environment is a valid context.
             let EventScratch { env, updates } = &mut self.scratch;
@@ -437,14 +443,13 @@ pub struct EventScratch {
 /// Which statements of a trigger to run.
 ///
 /// Embedded engines run [`StatementPhase::All`]: the compiler already
-/// sorts each trigger's statements by execution stage (hierarchy
-/// retracts at `-1`, delta updates at `0`, hierarchy rebuilds and legacy
-/// `Replace` re-evaluations at `+1`). The shared-store server runs the
-/// stages *across views*: for each event, every view's statements of the
-/// lowest stage run first, then the next stage, and so on — so shared
-/// maps are written exactly once (by their maintainer), retract
-/// statements observe every input pre-event, and rebuild/re-evaluation
-/// statements observe fully post-event inputs.
+/// sorts each trigger's statements by execution stage (delta updates at
+/// `0`, hierarchy rebuilds and legacy re-evaluations at `+1`). The
+/// shared-store server runs the stages *across views*: for each event,
+/// every view's statements of the lowest stage run first, then the next
+/// stage — so shared maps are written exactly once (by their
+/// maintainer), and rebuild/re-evaluation statements observe fully
+/// post-event inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatementPhase {
     /// Run every statement, in the trigger's (stage-sorted) order.
@@ -561,7 +566,7 @@ impl StmtProfile {
 pub struct StmtProfileEntry {
     /// Trigger label, e.g. `on_insert_BIDS`.
     pub trigger: String,
-    /// Execution stage (−1 retract, 0 delta, +1 rebuild).
+    /// Execution stage (0 delta, +1 rebuild).
     pub stage: dbtoaster_compiler::Stage,
     /// Target map name.
     pub target: String,
@@ -1461,6 +1466,73 @@ mod tests {
             .per_trigger
             .iter()
             .any(|(n, c, _)| n == "on_insert_R" && *c == 1));
+    }
+
+    #[test]
+    fn installed_map_clones_replay_bit_identically() {
+        // A second engine seeded with clones of the first one's maps
+        // must compute the same bits on every further event. Emptied
+        // price levels keep a zero-valued slot in the ordered index, so
+        // re-adding the live entries alone would build a differently
+        // shaped segment tree and round float sums differently.
+        let cat = Catalog::new().with(Schema::new(
+            "BOOK",
+            vec![("PRICE", ColumnType::Float), ("VOLUME", ColumnType::Float)],
+        ));
+        let sql = "select sum(b1.PRICE * b1.VOLUME) from BOOK b1 \
+                   where (select sum(b3.VOLUME) from BOOK b3) > \
+                   4 * (select sum(b2.VOLUME) from BOOK b2 where b2.PRICE > b1.PRICE)";
+        let p = compile_sql(sql, &cat, &CompileOptions::full()).unwrap();
+        let level = |i: usize| i * 7 % 48;
+        let row = |i: usize| {
+            tuple![
+                99.5 + 0.03 * level(i) as f64,
+                0.1 * (i * 131 % 997 + 1) as f64
+            ]
+        };
+        let mut live: Vec<Vec<usize>> = vec![Vec::new(); 48];
+        let empty = |live: &mut Vec<Vec<usize>>, l: usize| -> Vec<Event> {
+            live[l]
+                .drain(..)
+                .map(|r| Event::delete("BOOK", row(r)))
+                .collect()
+        };
+        // Insert row `i`; every tenth step instead empties the level
+        // row `i` would land on.
+        let step = |live: &mut Vec<Vec<usize>>, i: usize| -> Vec<Event> {
+            if i % 10 == 9 {
+                empty(live, level(i))
+            } else {
+                live[level(i)].push(i);
+                vec![Event::insert("BOOK", row(i))]
+            }
+        };
+
+        let mut source = Engine::new(&p).unwrap();
+        let mut warmup: Vec<Event> = (0..600).flat_map(|i| step(&mut live, i)).collect();
+        for l in (0..48).step_by(5) {
+            warmup.extend(empty(&mut live, l));
+        }
+        for e in &warmup {
+            source.on_event(e).unwrap();
+        }
+        let mut seeded = Engine::new(&p).unwrap();
+        for (name, map) in source.exec.map_names.iter().zip(&source.maps) {
+            seeded.install_map(name, map.clone()).unwrap();
+        }
+        assert_eq!(seeded.result(), source.result());
+        for i in 600..900 {
+            for e in step(&mut live, i) {
+                seeded.on_event(&e).unwrap();
+                source.on_event(&e).unwrap();
+                assert_eq!(seeded.result(), source.result(), "diverged at {e:?}");
+            }
+        }
+
+        assert!(seeded.install_map("NOPE", MapStorage::new(0)).is_err());
+        let keyed = p.maps.iter().find(|m| !m.keys.is_empty()).unwrap();
+        let wrong_arity = MapStorage::new(keyed.keys.len() + 1);
+        assert!(seeded.install_map(&keyed.name, wrong_arity).is_err());
     }
 
     #[test]

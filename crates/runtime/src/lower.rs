@@ -109,7 +109,7 @@ pub struct Block {
     pub value: Option<Scalar>,
 }
 
-/// The whole-statement fast path for the correlated-inequality bracket
+/// The whole-statement fast path for the correlated-inequality rebuild
 /// shape: a scalar-target statement that loops an *ordered* outer map,
 /// probes a range aggregate of an inner map correlated through the loop
 /// key, and gates emission on a guard *monotone* in that key. Instead of
@@ -150,9 +150,8 @@ pub struct ExecStatement {
     /// Clear the target before applying (Replace statements).
     pub clear_target: bool,
     /// Execution stage within the event (`dbtoaster_compiler::Stage`):
-    /// `-1` for hierarchy retract statements (pre-event inputs), `0` for
-    /// delta updates, `+1` for hierarchy rebuild and legacy `Replace`
-    /// statements (post-event inputs). Statements of a trigger are
+    /// `0` for delta updates, `+1` for the `Replace` statements of
+    /// hierarchy rebuilds and legacy re-evaluation (post-event inputs). Statements of a trigger are
     /// stage-sorted; multi-view execution runs each stage across all
     /// views before the next.
     pub stage: Stage,

@@ -168,14 +168,6 @@ fn leaf_breaks_monotonicity(v: &Value) -> bool {
     }
 }
 
-/// Rebuild the segment tree's internal nodes from its leaves after this
-/// many floating-point leaf mutations. The recompute-from-children
-/// update discipline keeps every internal node an *exact* sum of its two
-/// children at all times, so this re-anchor is a defensive bound on ulp
-/// residue (and a cheap place to normalize signed zeros), not a
-/// correctness requirement for integer rings.
-const FLOAT_REANCHOR_EVERY: u32 = 4096;
-
 /// One equality group of an [`OrderedIndex`]: the distinct ordered-key
 /// values seen (sorted), and a segment tree whose leaves mirror the
 /// map's current value under each key *exactly* (set, not
@@ -202,8 +194,6 @@ struct OrderedGroup {
     monotonicity_breakers: usize,
     /// Key class when homogeneous; `None` once classes mix.
     class: Option<KeyClass>,
-    /// Float leaf mutations since the last internal-node re-anchor.
-    float_ops: u32,
 }
 
 impl OrderedGroup {
@@ -239,32 +229,16 @@ impl OrderedGroup {
         self.tree = tree;
     }
 
-    /// Re-anchor: recompute every internal node from the current leaves,
-    /// discarding whatever the incremental path produced.
-    fn reanchor(&mut self) {
-        let n = self.len();
-        for i in (1..n).rev() {
-            self.tree[i] = self.tree[2 * i].add(&self.tree[2 * i + 1]);
-        }
-        self.float_ops = 0;
-    }
-
     /// Overwrite the leaf at `pos` and recompute its ancestor sums from
     /// their children (exact at every node, O(log P)).
     fn set_leaf(&mut self, pos: usize, value: Value) {
         let n = self.len();
-        if matches!(value, Value::Float(_)) {
-            self.float_ops += 1;
-        }
         let mut i = n + pos;
         self.tree[i] = value;
         i >>= 1;
         while i >= 1 {
             self.tree[i] = self.tree[2 * i].add(&self.tree[2 * i + 1]);
             i >>= 1;
-        }
-        if self.float_ops >= FLOAT_REANCHOR_EVERY {
-            self.reanchor();
         }
     }
 
@@ -677,6 +651,17 @@ impl MapStorage {
     /// Iterate all `(key, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &Value)> {
         self.data.iter()
+    }
+
+    /// All `(key, value)` pairs, sorted by key.
+    pub fn sorted_entries(&self) -> Vec<(Tuple, Value)> {
+        let mut entries: Vec<(Tuple, Value)> = self
+            .data
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 
     /// All keys matching the given bound positions/values, using a

@@ -9,23 +9,28 @@
 //!
 //! For each sampled admission sequence, the apply path — while already
 //! holding the audited view's group write locks — captures a consistent
-//! **pre-event snapshot** of the view's maps, runs the event, captures
+//! **pre-event snapshot** of the view's maps (a clone of each map's
+//! storage, secondary indexes included), runs the event, captures
 //! the **post-event result rows**, and hands the bundle to a worker
 //! thread through a bounded queue. The worker runs two independent
 //! checks per audit:
 //!
-//! * **Replay** — seed a private [`Engine`] (the interpreter oracle)
-//!   with the pre-event snapshot, replay the event through the view's
-//!   own trigger program, and compare the oracle's result rows against
-//!   the rows the server assembled post-event, bit-exactly. This
-//!   catches any divergence the server's staged, shared-store,
-//!   index-accelerated execution could introduce over the engine's
-//!   reference semantics.
+//! * **Replay** — install the pre-event snapshot into a private
+//!   [`Engine`] (the interpreter oracle), replay the event through the
+//!   view's own trigger program, and compare the oracle's result rows
+//!   against the rows the server assembled post-event, bit-exactly.
+//!   This catches any divergence the server's staged, shared-store
+//!   execution could introduce over the engine's reference semantics.
+//!   The oracle runs on the server's own storage shape — hash layout
+//!   and ordered-index grids, zero-valued slots included — so float
+//!   sums associate the same way on both sides and bit-exact means
+//!   what it says.
 //! * **Chain** — the worker retains the oracle's *post*-event map state
 //!   of each view's previous audit. When the next audit of the same
 //!   view arrives and no other event was delivered to the view in
 //!   between (`events_before` equals the retained `events_after`), the
-//!   new pre-event snapshot must equal the retained post-state exactly.
+//!   new pre-event snapshot's entries must equal the retained
+//!   post-state exactly.
 //!   A store entry corrupted *between* events — a bit flip, a stray
 //!   write, a chaos-test injection ([`crate::ViewServer::corrupt_map_entry`])
 //!   — breaks the chain and is reported. Replay alone can never see
@@ -48,7 +53,7 @@ use parking_lot::Mutex;
 
 use dbtoaster_common::{Event, FxHashMap, Tuple, Value};
 use dbtoaster_compiler::TriggerProgram;
-use dbtoaster_runtime::{Engine, ResultRow};
+use dbtoaster_runtime::{Engine, MapStorage, ResultRow};
 use dbtoaster_telemetry::{log_error, log_warn, Counter, MetricsRegistry};
 
 /// Default bound of the mismatch ring.
@@ -88,9 +93,9 @@ pub(crate) struct AuditJob {
     pub(crate) view: usize,
     pub(crate) seq: u64,
     pub(crate) event: Event,
-    /// Pre-event entries of every view map, parallel to the view
-    /// program's `maps` declaration order (unsorted; the worker sorts).
-    pub(crate) pre: Vec<Vec<(Tuple, Value)>>,
+    /// Pre-event clone of every view map, parallel to the view
+    /// program's `maps` declaration order.
+    pub(crate) pre: Vec<MapStorage>,
     /// Result rows the server assembled post-event under the same
     /// locks.
     pub(crate) post_rows: Vec<ResultRow>,
@@ -401,7 +406,7 @@ fn process_job(
     engines: &mut FxHashMap<usize, Engine>,
     retained: &mut FxHashMap<usize, Retained>,
     counters: &mut FxHashMap<usize, Arc<Counter>>,
-    mut job: AuditJob,
+    job: AuditJob,
 ) {
     let (name, program) = {
         let specs = shared.specs.lock();
@@ -438,17 +443,15 @@ fn process_job(
         })
         .inc();
 
-    for entries in &mut job.pre {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-    }
+    let pre: Vec<Vec<(Tuple, Value)>> = job.pre.iter().map(MapStorage::sorted_entries).collect();
 
     // Chain check: with no deliveries since the previous audit of this
     // view, its pre-event state must equal the oracle's retained
     // post-state bit-exactly. This is the only check that can see
     // corruption injected *between* events.
     if let Some(prev) = retained.get(&job.view) {
-        if prev.events_after == job.events_before && prev.maps != job.pre {
-            let (expected, actual) = render_map_diff(&program, &prev.maps, &job.pre);
+        if prev.events_after == job.events_before && prev.maps != pre {
+            let (expected, actual) = render_map_diff(&program, &prev.maps, &pre);
             shared.record_mismatch(AuditMismatch {
                 view: name.clone(),
                 seq: job.seq,
@@ -461,10 +464,9 @@ fn process_job(
 
     // Replay check: oracle re-execution from the pre-event snapshot
     // must reproduce the server's post-event rows bit-exactly.
-    engine.reset_maps();
     let replay = (|| -> dbtoaster_common::Result<Vec<ResultRow>> {
-        for (decl, entries) in program.maps.iter().zip(&job.pre) {
-            engine.load_map(&decl.name, entries.iter().cloned())?;
+        for (decl, storage) in program.maps.iter().zip(job.pre) {
+            engine.install_map(&decl.name, storage)?;
         }
         engine.on_event(&job.event)?;
         Ok(engine.result())

@@ -36,11 +36,10 @@
 //!   [`ApplyCtx`] buffers, so per-event cost tracks the *interested*
 //!   views, not the whole portfolio. Within the batch each event runs
 //!   through a **dependency-ordered stage schedule** across its
-//!   interested views: hierarchy retract statements (stage `-1`, which
-//!   must observe every input pre-event) run for every view first, then
-//!   all delta (`Update`) statements — shared maps are written exactly
-//!   once, by their maintainer — then hierarchy rebuild and legacy
-//!   re-evaluation statements (stage `+1`), which thereby observe fully
+//!   interested views: all delta (`Update`) statements run for every
+//!   view first — shared maps are written exactly once, by their
+//!   maintainer — then the `Replace` statements of hierarchy rebuilds
+//!   and legacy re-evaluation (stage `+1`), which thereby observe fully
 //!   post-event inputs. Stages a relation's views never compiled are
 //!   not walked at all: an all-flat portfolio runs exactly one pass per
 //!   event.
@@ -69,11 +68,9 @@
 //! updated it earlier in the same event. Such maps are materialized
 //! privately for that view (it can still *provide* them to later
 //! hazard-free sharers). Statements outside the delta stage need no
-//! such guard: hierarchy retracts (stage `-1`) run before every view's
-//! deltas and so always see pre-event state, while rebuilds and legacy
-//! `Replace` re-evaluations (stage `+1`) run after them and always see
-//! post-event state — the stage schedule delivers both, whichever view
-//! maintains the shared map.
+//! such guard: hierarchy rebuilds and legacy re-evaluations (stage `+1`)
+//! run after every view's deltas and always see post-event state — the
+//! stage schedule delivers it, whichever view maintains the shared map.
 
 pub mod audit;
 pub mod csv;
@@ -93,8 +90,8 @@ use dbtoaster_compiler::{compile_sql, CompileOptions, Stage, TriggerProgram, STA
 use dbtoaster_runtime::{
     apply_event_statements, assemble_result, lower_program, ordered_fallback, range_of_value,
     result_column_names, EventScratch, ExecProgram, FramePlan, LockWaitMetrics, MapRead,
-    MapRegistration, MapWrite, ProfileReport, ResultRow, SharedMapStore, StatementPhase, StmtHooks,
-    StmtProfile, StmtSpans, ViewBinding,
+    MapRegistration, MapStorage, MapWrite, ProfileReport, ResultRow, SharedMapStore,
+    StatementPhase, StmtHooks, StmtProfile, StmtSpans, ViewBinding,
 };
 use dbtoaster_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, SlowEventRing, TraceRecorder, TraceSpan, Unit,
@@ -118,7 +115,7 @@ struct AuditPre {
     view: usize,
     seq: u64,
     event: Event,
-    pre: Vec<Vec<(Tuple, Value)>>,
+    pre: Vec<MapStorage>,
     events_before: u64,
 }
 
@@ -352,9 +349,9 @@ struct RelationPlan {
     /// any interested view compiled for this relation, ascending, each
     /// with the views that actually have statements at that stage. The
     /// delta stage (`0`) always lists every interested view — it doubles
-    /// as the delivery-detection pass — while extra stages (hierarchy
-    /// retracts at `-1`, rebuilds / legacy `Replace` re-evaluations at
-    /// `+1`) exist only when some view needs them, so an all-flat
+    /// as the delivery-detection pass — while the rebuild stage (`+1`:
+    /// hierarchy rebuilds and legacy re-evaluations) exists only when
+    /// some view needs it, so an all-flat
     /// portfolio runs exactly one pass per event and a mixed portfolio
     /// pays for the views that need more, not for every view.
     stages: Vec<(Stage, Vec<usize>)>,
@@ -706,10 +703,9 @@ impl ViewServer {
         // refused where a delta statement needs pre-event reads: in its
         // own engine the map's update is ordered after that read, but a
         // shared map's maintainer runs earlier in phase 1.
-        // Only *delta-stage* reads are hazardous: hierarchy retract
-        // statements (stage -1) run before every view's delta phase and
-        // rebuild statements (stage +1) after it, so their pre-/post-
-        // event visibility of a shared map is guaranteed by the stage
+        // Only *delta-stage* reads are hazardous: rebuild statements
+        // (stage +1) run after every view's delta phase, so their
+        // post-event view of a shared map is guaranteed by the stage
         // schedule no matter which view maintains the map.
         let needs_pre_event_read = |decl: &dbtoaster_compiler::MapDecl| {
             let input_relations = decl.definition.relations();
@@ -911,8 +907,7 @@ impl ViewServer {
     /// Run one event through a relation plan's stage schedule — the one
     /// scheduling loop shared by the single-event fast path and the
     /// batched path. Each stage runs across every view listed for it
-    /// before the next stage begins, so hierarchy retract statements
-    /// observe every shared input pre-event and rebuild / re-evaluation
+    /// before the next stage begins, so rebuild / re-evaluation
     /// statements observe fully post-event inputs, regardless of which
     /// view maintains a shared map. `delivered` receives the views whose
     /// triggers absorbed the event (detected on the delta stage, which
@@ -1211,8 +1206,9 @@ impl ViewServer {
     /// Capture the audit pre-state of a sampled event, under the
     /// already-held group write locks: which view to audit (rotating
     /// through the relation's views so a low sample rate still covers
-    /// all of them), the view's map entries before the event, and its
-    /// exact delivered-event count. `span_counts` carries the not-yet-
+    /// all of them), a clone of each of the view's maps before the event
+    /// (indexes included, so the oracle replays on the same storage
+    /// shape), and its exact delivered-event count. `span_counts` carries the not-yet-
     /// flushed per-view delivery counts of an in-progress batch span.
     /// Returns `None` off-sample, and under range sharding (a replica
     /// frame holds partial map state the oracle cannot replay).
@@ -1234,13 +1230,7 @@ impl ViewServer {
             .binding
             .slots
             .iter()
-            .map(|&slot| {
-                frame
-                    .map(slot)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            })
+            .map(|&slot| frame.map(slot).clone())
             .collect();
         let pending: u64 = span_counts
             .into_iter()
@@ -1407,8 +1397,7 @@ impl ViewServer {
     /// same order `snapshot_all` reads in, so concurrent snapshots see
     /// either none or all of the batch), then each event runs through
     /// its relation's stage schedule across the interested views —
-    /// hierarchy retracts, every view's delta updates, then rebuilds and
-    /// re-evaluations. Statements targeting a shared map are executed
+    /// every view's delta updates, then rebuilds and re-evaluations. Statements targeting a shared map are executed
     /// only by the map's maintainer view, so per event each shared map
     /// is written once. Returns the total number of deliveries.
     pub fn apply_batch(&self, batch: &[Event]) -> Result<usize> {

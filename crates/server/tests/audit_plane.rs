@@ -15,11 +15,17 @@
 //!    in the counters and the ring. A detector that cannot fail its
 //!    fault-injection test is indistinguishable from one that checks
 //!    nothing.
+//!
+//! The nested VWAP view gets its own no-false-positive run: its float
+//! sums come out of ordered-index segment trees, whose shape (price
+//! levels deleted to zero keep their slot) decides how the sums
+//! associate, so the oracle must replay on the server's own storage.
 
 use dbtoaster_common::{tuple, Event};
 use dbtoaster_server::{ViewServer, CHECK_CHAIN};
 use dbtoaster_workloads::orderbook::{
     orderbook_catalog, OrderBookConfig, OrderBookGenerator, MARKET_MAKER, VWAP_COMPONENTS,
+    VWAP_NESTED,
 };
 
 fn bid(volume: f64, price: f64) -> Event {
@@ -65,6 +71,72 @@ fn a_clean_randomized_run_audits_with_zero_mismatches() {
     assert!(text.contains("dbt_audit_checks_total{view=\"vwap\"}"));
     assert!(text.contains("dbt_audit_checks_total{view=\"mm\"}"));
     assert!(!text.contains("dbt_audit_mismatch_total"));
+}
+
+/// A float order book whose price levels are repeatedly emptied: bids
+/// land on 48 levels with non-integer prices and volumes, and every
+/// tenth event deletes every live order of one level, so the level's
+/// ordered-index slot stays behind at zero.
+fn level_clearing_stream(events: usize) -> Vec<Event> {
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut live: Vec<Vec<(i64, f64, f64)>> = vec![Vec::new(); 48];
+    let mut out = Vec::with_capacity(events);
+    let mut id = 0i64;
+    while out.len() < events {
+        let level = (next() % 48) as usize;
+        if out.len() % 10 == 9 {
+            for (id, volume, price) in live[level].drain(..) {
+                out.push(Event::delete(
+                    "BIDS",
+                    tuple![1.0f64, id, 1i64, volume, price],
+                ));
+            }
+        } else {
+            id += 1;
+            let price = 99.5 + 0.03 * level as f64;
+            let volume = 0.1 * (1 + next() % 997) as f64;
+            live[level].push((id, volume, price));
+            out.push(Event::insert(
+                "BIDS",
+                tuple![1.0f64, id, 1i64, volume, price],
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn nested_vwap_over_emptied_price_levels_audits_with_zero_mismatches() {
+    let catalog = orderbook_catalog();
+    let mut server = ViewServer::new(&catalog);
+    server.register("vwap_nested", VWAP_NESTED).unwrap();
+    server.auditor().set_sample_one_in(1);
+    server.auditor().set_enabled(true);
+
+    let stream = level_clearing_stream(3_000);
+    let (singles, rest) = stream.split_at(1_000);
+    for event in singles {
+        server.apply(event).unwrap();
+    }
+    for chunk in rest.chunks(64) {
+        server.apply_batch(chunk).unwrap();
+    }
+
+    let audit = server.auditor().handle();
+    audit.drain();
+    assert!(audit.checks_total() > 0, "sampled audits actually ran");
+    assert_eq!(
+        audit.mismatch_total(),
+        0,
+        "the oracle must replay bit-exactly: {:?}",
+        audit.mismatches()
+    );
 }
 
 #[test]

@@ -29,7 +29,7 @@ pub const LAYER_QUEUE: &str = "queue";
 pub const LAYER_DISPATCH: &str = "dispatch";
 /// Span layer name: base-map group-lock acquisition.
 pub const LAYER_LOCK: &str = "lock";
-/// Span layer name: one stage pass of the retract/rebuild schedule.
+/// Span layer name: one stage pass of the delta/rebuild schedule.
 pub const LAYER_STAGE: &str = "stage";
 /// Span layer name: one trigger statement execution.
 pub const LAYER_STATEMENT: &str = "statement";

@@ -289,17 +289,22 @@ mod tests {
             assert!(p.is_ok(), "{name} failed to compile: {:?}", p.err());
         }
         // The nested VWAP compiles through the materialization
-        // hierarchy: incremental child maps, no re-evaluation.
+        // hierarchy: incremental child maps and no relation scan or
+        // base-relation map; the result map is kept by one post-event
+        // `:=` per trigger.
         let nested = dbtoaster_compiler::compile_sql(
             VWAP_NESTED,
             &cat,
             &dbtoaster_compiler::CompileOptions::full(),
         )
         .unwrap();
-        assert!(nested
-            .triggers
-            .iter()
-            .flat_map(|t| &t.statements)
-            .all(|s| s.kind == dbtoaster_compiler::StatementKind::Update));
+        assert!(nested.maps.iter().all(|m| !m.is_base_relation));
+        for t in &nested.triggers {
+            assert!(t.statements.iter().all(|s| !s.update.has_relations()));
+            let on_q: Vec<_> = t.statements.iter().filter(|s| s.target == "Q").collect();
+            assert_eq!(on_q.len(), 1, "{t}");
+            assert_eq!(on_q[0].kind, dbtoaster_compiler::StatementKind::Replace);
+            assert_eq!(on_q[0].stage, dbtoaster_compiler::STAGE_REBUILD);
+        }
     }
 }

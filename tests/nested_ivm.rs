@@ -3,8 +3,8 @@
 //!
 //! Every nested query below is compiled twice — through the default
 //! **hierarchy** (inner aggregates extracted into delta-maintained child
-//! maps, the outer map kept exact by a staged retract/rebuild bracket,
-//! zero `Replace` statements) and through the legacy **re-evaluation**
+//! maps, the outer map re-established from them by one post-event `:=`,
+//! no base-relation maps) and through the legacy **re-evaluation**
 //! oracle mode (`CompileOptions::nested_replace()`) — and both are
 //! checked against the `exec` interpreter re-evaluating the SQL from
 //! scratch over the live database. All data is integer-valued, so
@@ -18,8 +18,12 @@
 //! release-mode test drives the same portfolio through a
 //! `ShardedDispatcher` worker pool.
 
+use std::collections::BTreeSet;
+
 use dbtoaster::calculus::translate_query;
-use dbtoaster::compiler::{compile_sql, CompileOptions, StatementKind};
+use dbtoaster::compiler::{
+    compile_sql, CompileOptions, StatementKind, TriggerProgram, STAGE_DELTA, STAGE_REBUILD,
+};
 use dbtoaster::exec::{evaluate_query, Database};
 use dbtoaster::prelude::*;
 use dbtoaster::sql::{analyze, parse_query};
@@ -121,6 +125,48 @@ fn random_stream(seed: u64, events: usize) -> Vec<Event> {
     out
 }
 
+/// The hierarchy's shape: no statement scans a relation, no `BASE_*`
+/// map exists, and in every trigger each nested map is kept by exactly
+/// one stage +1 `Replace` (its `:=` over child maps) while every other
+/// statement is a stage-0 delta update.
+fn assert_hierarchy_shape(name: &str, p: &TriggerProgram) {
+    assert!(
+        p.maps.iter().all(|m| !m.is_base_relation),
+        "{name}: the hierarchy needs no base-relation maps\n{}",
+        p.pretty()
+    );
+    let mut rebuilds = 0;
+    for t in &p.triggers {
+        let replaced: Vec<&str> = t
+            .statements
+            .iter()
+            .filter(|s| s.kind == StatementKind::Replace)
+            .map(|s| s.target.as_str())
+            .collect();
+        let distinct: BTreeSet<&str> = replaced.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            replaced.len(),
+            "{name}: one := per map\n{t}"
+        );
+        for s in &t.statements {
+            assert!(!s.update.has_relations(), "{name}: residual scan in {s}");
+            match s.kind {
+                StatementKind::Replace => assert_eq!(s.stage, STAGE_REBUILD, "{name}: {s}"),
+                StatementKind::Update => {
+                    assert_eq!(s.stage, STAGE_DELTA, "{name}: {s}");
+                    assert!(
+                        !distinct.contains(s.target.as_str()),
+                        "{name}: a rebuilt map is also updated: {s}"
+                    );
+                }
+            }
+        }
+        rebuilds += replaced.len();
+    }
+    assert!(rebuilds > 0, "{name}: no nested map is rebuilt");
+}
+
 /// Re-evaluate a query from scratch with the reference interpreter.
 fn oracle(sql: &str, catalog: &Catalog, db: &Database) -> Vec<(Tuple, Vec<Value>)> {
     let qc = translate_query(&analyze(&parse_query(sql).unwrap(), catalog).unwrap(), "Q").unwrap();
@@ -153,13 +199,7 @@ fn hierarchy_matches_interpreter_and_replace_oracle_bit_exactly() {
     let mut replace: Vec<(&str, Engine)> = Vec::new();
     for (name, sql) in nested_queries() {
         let h = compile_sql(sql, &catalog, &CompileOptions::full()).unwrap();
-        assert!(
-            h.triggers
-                .iter()
-                .flat_map(|t| &t.statements)
-                .all(|s| s.kind == StatementKind::Update),
-            "{name}: hierarchy compilation must emit zero Replace statements"
-        );
+        assert_hierarchy_shape(name, &h);
         hierarchy.push((name, Engine::new(&h).unwrap()));
         let r = compile_sql(sql, &catalog, &CompileOptions::nested_replace()).unwrap();
         assert!(
@@ -206,8 +246,8 @@ fn hierarchy_matches_interpreter_and_replace_oracle_bit_exactly() {
 #[test]
 fn deleting_every_row_returns_every_view_to_empty() {
     // Deletion-heavy edge case: build up, then tear down to the empty
-    // database; the retract/rebuild bracket must land on exact zero (no
-    // residual entries — integer arithmetic cancels exactly).
+    // database; the rebuild must land on exact zero (no residual
+    // entries — integer arithmetic cancels exactly).
     let catalog = catalog();
     let mut engines: Vec<(&str, Engine)> = nested_queries()
         .into_iter()
